@@ -180,6 +180,7 @@ func (t *Target) CallProc(name string, args ...int64) (ps.Object, error) {
 	}
 	if ev.Exited {
 		t.Exited, t.ExitStatus = true, ev.Status
+		t.stopExprServer()
 		return ps.Object{}, fmt.Errorf("core: target exited with status %d during call", ev.Status)
 	}
 	// A genuine return traps at the return address with the synthetic

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"ldb/internal/arch"
 	"ldb/internal/frame"
@@ -22,23 +23,48 @@ type Debugger struct {
 
 	Targets   []*Target
 	cur       *Target
-	archDicts map[string]*ps.Dict
+	base      *Base
+	archDicts map[string]*ps.Dict // this debugger's copies, made on first use
 	baseDepth int
 	exprErr   string
 }
 
-// New creates a debugger: it builds the interpreter, registers the
-// debugging operators, reads the initial PostScript (the shared
-// prelude), and prepares one machine-dependent dictionary per
-// registered architecture.
-func New(out io.Writer) (*Debugger, error) {
-	d := &Debugger{In: ps.New(), Out: out, archDicts: make(map[string]*ps.Dict)}
-	d.In.Stdout = out
-	d.registerOps()
-	d.registerExprOps()
-	if err := d.In.RunStringNamed(PreludePS, "<prelude>"); err != nil {
+// Base is the initial PostScript every debugger starts from: the system
+// dictionary with the dialect's operators and ldb's debugging
+// operators, the shared prelude in the user dictionary, and one
+// machine-dependent dictionary per registered architecture. A base is
+// frozen once built (see ps.Freeze), so any number of debuggers, on any
+// number of goroutines, may share it.
+type Base struct {
+	in        *ps.Interp
+	archDicts map[string]*ps.Dict
+}
+
+var shared struct {
+	once sync.Once
+	base *Base
+	err  error
+}
+
+// sharedBase builds the process's base on first use.
+func sharedBase() (*Base, error) {
+	shared.once.Do(func() { shared.base, shared.err = NewBase() })
+	return shared.base, shared.err
+}
+
+// NewBase reads the initial PostScript: it builds the interpreter,
+// registers the debugging operators, runs the shared prelude, and
+// builds one machine-dependent dictionary per registered architecture.
+// New builds this once per process and shares it; NewBase itself
+// always builds afresh, which is what startup measurements time.
+func NewBase() (*Base, error) {
+	in := ps.New()
+	registerOps(in)
+	registerExprOps(in)
+	if err := in.RunStringNamed(PreludePS, "<prelude>"); err != nil {
 		return nil, fmt.Errorf("core: reading initial PostScript: %w", err)
 	}
+	b := &Base{in: in, archDicts: make(map[string]*ps.Dict, len(archPS))}
 	// Sorted order: dictionary construction runs PostScript with shared
 	// interpreter state, and a startup failure must name the same arch
 	// on every run.
@@ -48,55 +74,82 @@ func New(out io.Writer) (*Debugger, error) {
 	}
 	sort.Strings(archNames)
 	for _, name := range archNames {
-		src := archPS[name]
-		o, err := d.In.Eval(src)
+		o, err := in.Eval(archPS[name])
 		if err != nil || o.Kind != ps.KDict {
 			return nil, fmt.Errorf("core: bad arch dictionary for %s: %v", name, err)
 		}
-		a, ok := arch.Lookup(name)
-		if ok {
-			names := make([]ps.Object, a.NumRegs())
-			for i := range names {
-				names[i] = ps.Str(a.RegName(i))
-			}
-			o.D.PutName("RegNames", ps.ArrayObj(names...))
+		if a, ok := arch.Lookup(name); ok {
+			o.D.PutName("RegNames", regNames(a))
 			// Describe the nub's machine-dependent context record in
 			// PostScript, so PostScript programs can manipulate it (§7:
 			// "we wrote PostScript code that reads the top-level
 			// dictionary for the nub and constructs a Modula-3
 			// description of one of the nub's machine-dependent data
 			// structures").
-			l := a.Context()
-			ctx := ps.NewDict(8)
-			ctx.PutName("size", ps.Int(int64(l.Size)))
-			ctx.PutName("pc", ps.Int(int64(l.PCOff)))
-			ctx.PutName("flag", ps.Int(int64(l.FlagOff)))
-			regOffs := make([]ps.Object, len(l.RegOffs))
-			for i, off := range l.RegOffs {
-				regOffs[i] = ps.Int(int64(off))
-			}
-			ctx.PutName("regs", ps.ArrayObj(regOffs...))
-			fregOffs := make([]ps.Object, len(l.FRegOffs))
-			for i, off := range l.FRegOffs {
-				fregOffs[i] = ps.Int(int64(off))
-			}
-			ctx.PutName("fregs", ps.ArrayObj(fregOffs...))
-			ctx.PutName("fregsize", ps.Int(int64(l.FRegSize)))
-			ctx.PutName("floatwordswap", ps.Boolean(l.FloatWordSwap))
-			o.D.PutName("Context", ps.DictObj(ctx))
+			o.D.PutName("Context", contextDict(a.Context()))
 		}
-		d.archDicts[name] = o.D
+		ps.Freeze(o)
+		b.archDicts[name] = o.D
 	}
+	ps.Freeze(ps.DictObj(in.SystemDict()))
+	ps.Freeze(ps.DictObj(in.UserDict()))
+	return b, nil
+}
+
+func regNames(a arch.Arch) ps.Object {
+	names := make([]ps.Object, a.NumRegs())
+	for i := range names {
+		names[i] = ps.Str(a.RegName(i))
+	}
+	return ps.ArrayObj(names...)
+}
+
+func contextDict(l arch.ContextLayout) ps.Object {
+	ints := func(vs []int) ps.Object {
+		objs := make([]ps.Object, len(vs))
+		for i, v := range vs {
+			objs[i] = ps.Int(int64(v))
+		}
+		return ps.ArrayObj(objs...)
+	}
+	ctx := ps.NewDict(8)
+	ctx.PutName("size", ps.Int(int64(l.Size)))
+	ctx.PutName("pc", ps.Int(int64(l.PCOff)))
+	ctx.PutName("flag", ps.Int(int64(l.FlagOff)))
+	ctx.PutName("regs", ints(l.RegOffs))
+	ctx.PutName("fregs", ints(l.FRegOffs))
+	ctx.PutName("fregsize", ps.Int(int64(l.FRegSize)))
+	ctx.PutName("floatwordswap", ps.Boolean(l.FloatWordSwap))
+	return ps.DictObj(ctx)
+}
+
+// New creates a debugger on the process's shared base (see Base): its
+// interpreter shares the frozen system dictionary and starts from a
+// copy of the prelude's user dictionary.
+func New(out io.Writer) (*Debugger, error) {
+	b, err := sharedBase()
+	if err != nil {
+		return nil, err
+	}
+	d := &Debugger{In: b.in.Fork(), Out: out, base: b}
+	d.In.Stdout = out
+	d.In.Host = d
 	d.baseDepth = len(d.In.DStack)
 	return d, nil
 }
+
+// debuggerOf returns the debugger that owns in; the debugging
+// operators are shared by every debugger and find theirs here.
+func debuggerOf(in *ps.Interp) *Debugger { return in.Host.(*Debugger) }
 
 // Current returns the current target, if any.
 func (d *Debugger) Current() *Target { return d.cur }
 
 // Switch makes t the current target, rebinding the machine-dependent
 // PostScript names by placing t's architecture dictionary (and t's
-// symbol environment) on the dictionary stack (§5).
+// symbol environment) on the dictionary stack (§5). The debugger's
+// first switch to an architecture copies that architecture's
+// dictionary from the base, so its definitions stay its own.
 func (d *Debugger) Switch(t *Target) {
 	d.cur = t
 	d.In.DStack = d.In.DStack[:d.baseDepth]
@@ -106,9 +159,25 @@ func (d *Debugger) Switch(t *Target) {
 	if t.Table != nil && t.Table.Env != nil {
 		d.In.DStack = append(d.In.DStack, t.Table.Env)
 	}
-	if ad, ok := d.archDicts[t.Arch.Name()]; ok {
+	if ad := d.archDict(t.Arch.Name()); ad != nil {
 		d.In.DStack = append(d.In.DStack, ad)
 	}
+}
+
+func (d *Debugger) archDict(name string) *ps.Dict {
+	if ad, ok := d.archDicts[name]; ok {
+		return ad
+	}
+	frozen, ok := d.base.archDicts[name]
+	if !ok {
+		return nil
+	}
+	if d.archDicts == nil {
+		d.archDicts = make(map[string]*ps.Dict)
+	}
+	ad := frozen.Copy()
+	d.archDicts[name] = ad
+	return ad
 }
 
 // CurrentFrame returns the selected frame of the current target.

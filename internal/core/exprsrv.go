@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"ldb/internal/amem"
 	"ldb/internal/codegen"
@@ -18,11 +19,13 @@ import (
 type exprSession struct {
 	reqW   io.Writer
 	psFile ps.Object
+	stop   func()
 }
 
-// exprSessionFor starts (once) the expression server for a target — a
-// variant of the compiler front end in its own goroutine, standing in
-// for the paper's separate address space (§3).
+// exprSessionFor starts the expression server for a target, unless it
+// is already running — a variant of the compiler front end in its own
+// goroutine, standing in for the paper's separate address space (§3).
+// stopExprServer ends it.
 func (t *Target) exprSessionFor() *exprSession {
 	if t.exprS != nil {
 		return t.exprS
@@ -31,7 +34,12 @@ func (t *Target) exprSessionFor() *exprSession {
 	psR, psW := io.Pipe()
 	tc := codegen.NewEmitterFor(t.Arch).Conf()
 	srv := expr.NewServer(tc, reqR, psW)
-	go srv.Serve()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		srv.Serve()
+	}()
 	var down io.Writer = reqW
 	var up io.Reader = psR
 	if t.exprTrace != nil {
@@ -41,8 +49,24 @@ func (t *Target) exprSessionFor() *exprSession {
 	t.exprS = &exprSession{
 		reqW:   down,
 		psFile: ps.FileObj(&ps.File{Name: "exprserver", R: up}),
+		// Closing the request pipe ends the server's read loop; closing
+		// the reply pipe fails a write it may be blocked in.
+		stop: func() {
+			_ = reqW.Close()
+			_ = psR.Close()
+			wg.Wait()
+		},
 	}
 	return t.exprS
+}
+
+// stopExprServer stops the target's expression server, if it runs, and
+// waits for its goroutine to exit. The next Eval starts a new one.
+func (t *Target) stopExprServer() {
+	if t.exprS != nil {
+		t.exprS.stop()
+		t.exprS = nil
+	}
 }
 
 // TraceExprTraffic installs fn to observe every message on the two
@@ -172,18 +196,18 @@ func (t *Target) EvalFloat(text string) (float64, error) {
 	return o.Num(), nil
 }
 
-// registerExprOps installs the two operators the expression-server
+// registerExprOps installs the operators the expression-server
 // protocol needs on the debugger side.
-func (d *Debugger) registerExprOps() {
+func registerExprOps(in *ps.Interp) {
 	// ExpressionServer.lookup: the server could not find an identifier;
 	// find its symbol-table entry and send the information back as a
 	// sequence of C tokens plus a location description (§3).
-	d.In.Register("ExpressionServer.lookup", func(in *ps.Interp) error {
+	in.Register("ExpressionServer.lookup", func(in *ps.Interp) error {
 		name, err := in.PopName("ExpressionServer.lookup")
 		if err != nil {
 			return err
 		}
-		t := d.cur
+		t := debuggerOf(in).cur
 		if t == nil || t.exprS == nil {
 			return &ps.Error{Name: "notarget", Cmd: "ExpressionServer.lookup"}
 		}
@@ -199,7 +223,7 @@ func (d *Debugger) registerExprOps() {
 	})
 	// TargetCall: n arg1..argn (name) → result. Runs a procedure in the
 	// target process for a call inside an expression (§7.1).
-	d.In.Register("TargetCall", func(in *ps.Interp) error {
+	in.Register("TargetCall", func(in *ps.Interp) error {
 		name, err := in.PopString("TargetCall")
 		if err != nil {
 			return err
@@ -216,7 +240,7 @@ func (d *Debugger) registerExprOps() {
 			}
 			args[i] = v
 		}
-		t := d.cur
+		t := debuggerOf(in).cur
 		if t == nil {
 			return &ps.Error{Name: "notarget", Cmd: "TargetCall"}
 		}
@@ -227,12 +251,12 @@ func (d *Debugger) registerExprOps() {
 		in.Push(res)
 		return nil
 	})
-	d.In.Register("ExpressionServer.failed", func(in *ps.Interp) error {
+	in.Register("ExpressionServer.failed", func(in *ps.Interp) error {
 		msg, err := in.PopString("ExpressionServer.failed")
 		if err != nil {
 			return err
 		}
-		d.exprErr = msg
+		debuggerOf(in).exprErr = msg
 		return in.RunString("stop")
 	})
 }

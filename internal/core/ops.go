@@ -10,10 +10,10 @@ import (
 // registerOps installs the debugging types and operators the dialect
 // adds to PostScript (§2, §5): abstract memory and location operators,
 // the lazy anchor-symbol operators, frame access, and formatting
-// helpers used by the printer procedures.
-func (d *Debugger) registerOps() {
-	in := d.In
-
+// helpers used by the printer procedures. The operators live in the
+// shared system dictionary, so those that need the debugger find it
+// through debuggerOf.
+func registerOps(in *ps.Interp) {
 	locMaker := func(name string, space amem.Space) {
 		in.Register(name, func(in *ps.Interp) (err error) {
 			off, err := in.PopInt(name)
@@ -174,7 +174,7 @@ func (d *Debugger) registerOps() {
 			if err != nil {
 				return err
 			}
-			t := d.cur
+			t := debuggerOf(in).cur
 			if t == nil || t.Client == nil || t.Table == nil {
 				return &ps.Error{Name: "notarget", Cmd: name}
 			}
@@ -202,7 +202,7 @@ func (d *Debugger) registerOps() {
 			if err != nil {
 				return err
 			}
-			t := d.cur
+			t := debuggerOf(in).cur
 			if t == nil || t.Table == nil {
 				return &ps.Error{Name: "notarget", Cmd: name}
 			}
@@ -226,7 +226,7 @@ func (d *Debugger) registerOps() {
 			if err != nil {
 				return err
 			}
-			f := d.CurrentFrame()
+			f := debuggerOf(in).CurrentFrame()
 			if f == nil {
 				return &ps.Error{Name: "notarget", Cmd: name}
 			}
@@ -242,7 +242,7 @@ func (d *Debugger) registerOps() {
 	regRead("XReg", amem.Extra)
 
 	in.Register("CurrentMem", func(in *ps.Interp) error {
-		f := d.CurrentFrame()
+		f := debuggerOf(in).CurrentFrame()
 		if f == nil {
 			return &ps.Error{Name: "notarget", Cmd: "CurrentMem"}
 		}
@@ -255,7 +255,7 @@ func (d *Debugger) registerOps() {
 		if err != nil {
 			return err
 		}
-		t := d.cur
+		t := debuggerOf(in).cur
 		if t == nil || t.Table == nil {
 			in.Push(ps.Str(fmtHex(uint64(addr))))
 			return nil

@@ -236,6 +236,7 @@ func (t *Target) settle(ev *nub.Event) (*nub.Event, error) {
 	if ev.Exited {
 		t.Exited, t.ExitStatus = true, ev.Status
 		t.Frames = nil
+		t.stopExprServer()
 		return ev, nil
 	}
 	if err := t.Refresh(); err != nil {
@@ -665,9 +666,13 @@ func (t *Target) BreakAddr(addr uint32) error { return t.Bpts.PlantRaw(addr) }
 // Kill terminates the target.
 func (t *Target) Kill() error {
 	t.Exited = true
+	t.stopExprServer()
 	return t.Client.Kill()
 }
 
 // Detach breaks the connection, leaving the nub waiting for another
 // debugger.
-func (t *Target) Detach() error { return t.Client.Detach() }
+func (t *Target) Detach() error {
+	t.stopExprServer()
+	return t.Client.Detach()
+}

@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"ldb/internal/driver"
 	"ldb/internal/workload"
 )
 
@@ -91,4 +93,30 @@ func TestTranscriptsAddressFree(t *testing.T) {
 func (r *Runner) evalForTest(n *Node) (any, error) {
 	n.Fingerprint()
 	return r.eval(n, make(chan struct{}, 1))
+}
+
+// RunSession must release its target: after many sessions the
+// goroutine count is back where it started (each session's nub serves
+// on a goroutine until the session closes its connection).
+func TestRunSessionReleasesTarget(t *testing.T) {
+	sc := workload.Generate(4242)
+	prog, err := driver.Build([]driver.Source{{Name: sc.Name + ".c", Text: sc.Source}}, driver.Options{Arch: "mips", Debug: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, err := RunSession(prog, sc, PredecodeFused, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A closed connection ends its nub goroutine promptly but not
+	// synchronously: give the stragglers a bounded time to exit.
+	now := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); now > start+2 && time.Now().Before(deadline); now = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if now > start+2 {
+		t.Errorf("%d goroutines after 50 sessions, %d before", now, start)
+	}
 }

@@ -60,6 +60,9 @@ func RunSession(prog *driver.Program, sc workload.Scenario, pd PredecodeMode, wi
 	if err != nil {
 		return nil, fmt.Errorf("launch: %w", err)
 	}
+	// Closing the connection ends the nub's serving goroutine; the
+	// process is garbage once both are gone.
+	defer client.Close()
 	tgt, err := d.AttachClient(sc.Name, client, prog.LoaderPS)
 	if err != nil {
 		return nil, fmt.Errorf("attach: %w", err)

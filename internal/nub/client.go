@@ -96,9 +96,11 @@ type Client struct {
 	timeout time.Duration
 	retries int
 	redial  func() (io.ReadWriter, error)
-	// replayable is false only while awaiting the reply to a delivered
-	// non-idempotent request — the one window where a connection loss
-	// cannot be recovered transparently. Fault injectors gate on it.
+	// replayable is false only while a non-idempotent request is in
+	// flight, from the start of its write to its reply — the window
+	// where a connection loss cannot be recovered transparently: the
+	// peer may lose the connection while reading a request whose one
+	// write has already succeeded here. Fault injectors gate on it.
 	replayable atomic.Bool
 	// planted is the nub's planted-breakpoint list from the most recent
 	// reconnect resync.
@@ -305,10 +307,10 @@ func (c *Client) Retries() int { return max(c.retries, 1) }
 func (c *Client) SetRedial(f func() (io.ReadWriter, error)) { c.redial = f }
 
 // Replayable reports whether losing the connection at this instant is
-// transparently recoverable: true except while awaiting the reply to a
-// delivered store, plant, or continue. Deterministic fault injectors
-// (faultrw) gate drops on it so a soak run stays byte-identical to a
-// clean one.
+// transparently recoverable: true except while a store, plant, or
+// continue is in flight, from the start of its write to its reply.
+// Deterministic fault injectors (faultrw) gate drops on it so a soak
+// run stays byte-identical to a clean one.
 func (c *Client) Replayable() bool { return c.replayable.Load() }
 
 // SetBatching enables or disables MBatch envelopes. Batching is used
@@ -466,14 +468,14 @@ func (c *Client) readEvent() (*Event, error) {
 // delivered reports whether the request was fully written — if so, the
 // nub may have executed it even when the reply was lost.
 func (c *Client) exchange(req *Msg, want MsgKind) (rep *Msg, delivered bool, err error) {
-	if err := c.writeWire(req); err != nil {
-		return nil, false, err
-	}
 	if !reqIdempotent(req) {
 		c.replayable.Store(false)
 	}
+	defer c.replayable.Store(true)
+	if err := c.writeWire(req); err != nil {
+		return nil, false, err
+	}
 	rep, err = c.readWire()
-	c.replayable.Store(true)
 	if err != nil {
 		return nil, true, err
 	}
@@ -921,9 +923,9 @@ func (c *Client) StepInst() (*Event, error) {
 func (c *Client) resume(kind MsgKind) (*Event, error) {
 	c.InvalidateCache()
 	for replay := 0; ; replay++ {
+		c.replayable.Store(false)
 		err := c.writeWire(&Msg{Kind: kind})
 		if err == nil {
-			c.replayable.Store(false)
 			ev, rerr := c.readEvent()
 			c.replayable.Store(true)
 			if rerr == nil {
@@ -949,6 +951,7 @@ func (c *Client) resume(kind MsgKind) (*Event, error) {
 			}
 			return nil, fmt.Errorf("%w awaiting the %v event; session reconnected at the nub's latched event", ErrConnLost, kind)
 		}
+		c.replayable.Store(true)
 		if !errors.Is(err, ErrConnLost) {
 			return nil, err
 		}
@@ -988,9 +991,15 @@ func (c *Client) Kill() error {
 }
 
 // Detach breaks the connection, leaving the target stopped and the nub
-// waiting for a new debugger.
+// waiting for a new debugger. The nub hangs up after its reply, so this
+// end is closed too: a later request then fails before it is written,
+// and a client with a redial endpoint reconnects and replays it instead
+// of sending it into a dead connection where it would look delivered.
 func (c *Client) Detach() error {
 	_, err := c.roundTrip(&Msg{Kind: MDetach}, MOK)
+	if err == nil {
+		_ = c.closeRaw() // the detach is done; a failed close changes nothing
+	}
 	return err
 }
 

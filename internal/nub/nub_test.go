@@ -2,6 +2,7 @@ package nub
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -16,16 +17,40 @@ import (
 	"ldb/internal/machine"
 )
 
+// countingWriter counts the Write calls that deliver its bytes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
 func TestProtocolRoundTripProperty(t *testing.T) {
 	// The paper's protocol was validated with a model checker [13];
-	// here the codec is checked by exhaustive property testing.
+	// here the codec is checked by exhaustive property testing, along
+	// with the byte layout and that each message takes one Write.
 	f := func(kind uint8, space byte, size, addr uint32, val uint64, code, sig int32, data []byte) bool {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
 		in := &Msg{Kind: MsgKind(kind), Space: space, Size: size, Addr: addr, Val: val, Code: code, Sig: sig, Data: data}
-		var buf bytes.Buffer
-		if err := WriteMsg(&buf, in); err != nil {
+		var buf countingWriter
+		if err := WriteMsg(&buf, in); err != nil || buf.writes != 1 {
+			return false
+		}
+		// The layout, field by field: header, payload length, payload.
+		want := []byte{byte(kind), space}
+		want = binary.LittleEndian.AppendUint32(want, size)
+		want = binary.LittleEndian.AppendUint32(want, addr)
+		want = binary.LittleEndian.AppendUint64(want, val)
+		want = binary.LittleEndian.AppendUint32(want, uint32(code))
+		want = binary.LittleEndian.AppendUint32(want, uint32(sig))
+		want = append(want, 0)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(data)))
+		if !bytes.Equal(buf.Bytes(), append(want, data...)) {
 			return false
 		}
 		out, err := ReadMsg(&buf)

@@ -236,34 +236,29 @@ const WelcomeSessions = 1 << 1
 // MaxBatch bounds how many messages one MBatch envelope may carry.
 const MaxBatch = 512
 
-// WriteMsg encodes m to w in the little-endian wire format.
+// msgHeaderLen is the size of a message before its payload: the fixed
+// header and the payload length.
+const msgHeaderLen = 27 + 4
+
+// WriteMsg encodes m to w in the little-endian wire format. The message
+// goes out in a single Write: over an in-memory pipe each Write is a
+// hand-off between goroutines, and over TCP with Nagle off, a segment.
 func WriteMsg(w io.Writer, m *Msg) error {
 	if len(m.Data) > maxDataLen {
 		return fmt.Errorf("nub: message payload too large (%d)", len(m.Data))
 	}
-	var hdr [27]byte
-	hdr[0] = byte(m.Kind)
-	hdr[1] = m.Space
-	binary.LittleEndian.PutUint32(hdr[2:], m.Size)
-	binary.LittleEndian.PutUint32(hdr[6:], m.Addr)
-	binary.LittleEndian.PutUint64(hdr[10:], m.Val)
-	binary.LittleEndian.PutUint32(hdr[18:], uint32(m.Code))
-	binary.LittleEndian.PutUint32(hdr[22:], uint32(m.Sig))
-	hdr[26] = 0 // reserved
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(m.Data)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	if len(m.Data) > 0 {
-		if _, err := w.Write(m.Data); err != nil {
-			return err
-		}
-	}
-	return nil
+	buf := make([]byte, msgHeaderLen, msgHeaderLen+len(m.Data))
+	buf[0] = byte(m.Kind)
+	buf[1] = m.Space
+	binary.LittleEndian.PutUint32(buf[2:], m.Size)
+	binary.LittleEndian.PutUint32(buf[6:], m.Addr)
+	binary.LittleEndian.PutUint64(buf[10:], m.Val)
+	binary.LittleEndian.PutUint32(buf[18:], uint32(m.Code))
+	binary.LittleEndian.PutUint32(buf[22:], uint32(m.Sig))
+	buf[26] = 0 // reserved
+	binary.LittleEndian.PutUint32(buf[27:], uint32(len(m.Data)))
+	_, err := w.Write(append(buf, m.Data...))
+	return err
 }
 
 // ReadMsg decodes one message from r.

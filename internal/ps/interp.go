@@ -63,6 +63,10 @@ type Interp struct {
 	// code — here, unbounded recursion.
 	MaxDepth int
 
+	// Host is the embedder's own state for this interpreter. Operators
+	// shared by several interpreters find their embedder through it.
+	Host any
+
 	systemdict *Dict
 	userdict   *Dict
 	steps      int64
@@ -77,19 +81,28 @@ const (
 // New returns an interpreter with the system and user dictionaries on
 // the dictionary stack and all built-in operators defined.
 func New() *Interp {
-	in := &Interp{
-		Stdout:     io.Discard,
-		systemdict: NewDict(256),
-		userdict:   NewDict(64),
-	}
-	in.Pretty = NewPretty(&stdoutOf{in})
-	in.DStack = []*Dict{in.systemdict, in.userdict}
-	in.systemdict.PutName("systemdict", DictObj(in.systemdict))
-	in.systemdict.PutName("userdict", DictObj(in.userdict))
+	in := newInterp(NewDict(256), NewDict(64))
 	in.systemdict.PutName("true", Boolean(true))
 	in.systemdict.PutName("false", Boolean(false))
 	in.systemdict.PutName("null", Null())
 	registerAll(in)
+	return in
+}
+
+// Fork returns an interpreter that shares in's system dictionary and
+// starts from a writable copy of its user dictionary, with empty
+// stacks. Embedders fork many interpreters from one that has read its
+// initial PostScript and been frozen (see Freeze): the fork's `def`s
+// land in its own user dictionary, and the shared dictionaries and
+// procedures stay read-only.
+func (in *Interp) Fork() *Interp {
+	return newInterp(in.systemdict, in.userdict.Copy())
+}
+
+func newInterp(systemdict, userdict *Dict) *Interp {
+	in := &Interp{Stdout: io.Discard, systemdict: systemdict, userdict: userdict}
+	in.Pretty = NewPretty(&stdoutOf{in})
+	in.DStack = []*Dict{systemdict, userdict}
 	return in
 }
 
@@ -106,7 +119,8 @@ func (in *Interp) SystemDict() *Dict { return in.systemdict }
 // UserDict returns the user dictionary.
 func (in *Interp) UserDict() *Dict { return in.userdict }
 
-// Register defines a built-in operator in the system dictionary.
+// Register defines a built-in operator in the system dictionary. The
+// system dictionary must not be frozen yet.
 func (in *Interp) Register(name string, fn func(*Interp) error) {
 	in.systemdict.PutName(name, OpObj(name, fn))
 }

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -501,37 +502,67 @@ func TestEmbedderHelpers(t *testing.T) {
 
 func TestNonNameDictKeys(t *testing.T) {
 	// PostScript dictionaries accept any object as a key; integers and
-	// reals compare numerically (1 and 1.0 are the same key).
-	in := New()
-	src := `<< 1 (one) true (yes) null (nil) >>`
-	if err := in.RunString(src); err != nil {
-		t.Fatal(err)
+	// reals compare numerically (1 and 1.0 are the same key). Run once
+	// on a small dictionary and once on one large enough to be indexed.
+	var pad strings.Builder
+	for i := 0; i < 2*smallDict; i++ {
+		fmt.Fprintf(&pad, "/pad%d (x) ", i)
 	}
-	d, err := in.PopDict("test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := d.Get(Int(1)); !ok || v.S != "one" {
-		t.Fatalf("int key: %v %v", v, ok)
-	}
-	if v, ok := d.Get(Real(1.0)); !ok || v.S != "one" {
-		t.Fatalf("real 1.0 key should equal int 1: %v %v", v, ok)
-	}
-	if v, ok := d.Get(Boolean(true)); !ok || v.S != "yes" {
-		t.Fatalf("bool key: %v %v", v, ok)
-	}
-	if v, ok := d.Get(Null()); !ok || v.S != "nil" {
-		t.Fatalf("null key: %v %v", v, ok)
-	}
-	// Composite keys compare by identity.
-	a1 := ArrayObj(Int(1))
-	a2 := ArrayObj(Int(1))
-	d.Put(a1, Str("first"))
-	if _, ok := d.Get(a2); ok {
-		t.Fatal("distinct arrays share a key")
-	}
-	if v, ok := d.Get(a1); !ok || v.S != "first" {
-		t.Fatalf("array identity key: %v %v", v, ok)
+	for _, pad := range []string{"", pad.String()} {
+		in := New()
+		src := `<< ` + pad + `1 (one) true (yes) null (nil) >>`
+		if err := in.RunString(src); err != nil {
+			t.Fatal(err)
+		}
+		d, err := in.PopDict("test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := d.Get(Int(1)); !ok || v.S != "one" {
+			t.Fatalf("int key: %v %v", v, ok)
+		}
+		if v, ok := d.Get(Real(1.0)); !ok || v.S != "one" {
+			t.Fatalf("real 1.0 key should equal int 1: %v %v", v, ok)
+		}
+		if v, ok := d.Get(Boolean(true)); !ok || v.S != "yes" {
+			t.Fatalf("bool key: %v %v", v, ok)
+		}
+		if _, ok := d.Get(Boolean(false)); ok {
+			t.Fatal("false found under true's key")
+		}
+		if v, ok := d.Get(Null()); !ok || v.S != "nil" {
+			t.Fatalf("null key: %v %v", v, ok)
+		}
+		// Composite keys compare by identity.
+		a1 := ArrayObj(Int(1))
+		a2 := ArrayObj(Int(1))
+		d.Put(a1, Str("first"))
+		if _, ok := d.Get(a2); ok {
+			t.Fatal("distinct arrays share a key")
+		}
+		if v, ok := d.Get(a1); !ok || v.S != "first" {
+			t.Fatalf("array identity key: %v %v", v, ok)
+		}
+		// Names and strings share key space; undef keeps the order of
+		// the rest.
+		d.Put(Str("s"), Int(2))
+		if v, ok := d.Get(LitName("s")); !ok || v.I != 2 {
+			t.Fatalf("string key under a name: %v %v", v, ok)
+		}
+		n := d.Len()
+		if err := d.Undef(Real(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := d.Get(Int(1)); ok || d.Len() != n-1 {
+			t.Fatalf("undef 1.0: len %d, want %d", d.Len(), n-1)
+		}
+		if v, ok := d.Get(Null()); !ok || v.S != "nil" {
+			t.Fatalf("null key after undef: %v %v", v, ok)
+		}
+		keys := d.Keys()
+		if last := keys[len(keys)-1]; last.S != "s" {
+			t.Fatalf("last key after undef: %s", Format(last))
+		}
 	}
 	// A mark cannot be a key.
 	in2 := New()

@@ -84,10 +84,12 @@ type Object struct {
 	X  Ext
 }
 
-// Array is the backing store of an array object. Arrays are mutable;
-// the dialect has no subarrays, so every array object owns its storage.
+// Array is the backing store of an array object. Arrays are mutable
+// unless frozen (see Freeze); the dialect has no subarrays, so every
+// array object owns its storage.
 type Array struct {
-	E []Object
+	E      []Object
+	frozen bool
 }
 
 // Operator is a built-in operator.

@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // registerAll installs the built-in operators of the dialect.
@@ -118,6 +119,22 @@ func registerStackOps(in *Interp) {
 		}
 		return &Error{Name: "unmatchedmark", Cmd: "cleartomark"}
 	})
+}
+
+// popToMark removes everything down to and including the topmost mark
+// and returns what was above it, bottom first. The result shares the
+// stack's storage, so it must be used before the next push. Without a
+// mark the stack is emptied, as popping one object at a time would.
+func (in *Interp) popToMark(cmd string) ([]Object, error) {
+	for i := len(in.Stack) - 1; i >= 0; i-- {
+		if in.Stack[i].Kind == KMark {
+			above := in.Stack[i+1:]
+			in.Stack = in.Stack[:i]
+			return above, nil
+		}
+	}
+	in.Stack = in.Stack[:0]
+	return nil, &Error{Name: "unmatchedmark", Cmd: cmd}
 }
 
 func numeric2(in *Interp, cmd string) (a, b Object, err error) {
@@ -558,6 +575,17 @@ func registerControlOps(in *Interp) {
 }
 
 func registerDictOps(in *Interp) {
+	// systemdict and userdict are operators, as in PostScript, so that
+	// interpreters sharing one system dictionary each find their own
+	// user dictionary.
+	in.Register("systemdict", func(in *Interp) error {
+		in.Push(DictObj(in.systemdict))
+		return nil
+	})
+	in.Register("userdict", func(in *Interp) error {
+		in.Push(DictObj(in.userdict))
+		return nil
+	})
 	in.Register("dict", func(in *Interp) error {
 		n, err := in.PopInt("dict")
 		if err != nil {
@@ -571,23 +599,16 @@ func registerDictOps(in *Interp) {
 		return nil
 	})
 	in.Register(">>", func(in *Interp) error {
-		var pairs []Object
-		for {
-			o, err := in.Pop()
-			if err != nil {
-				return &Error{Name: "unmatchedmark", Cmd: ">>"}
-			}
-			if o.Kind == KMark {
-				break
-			}
-			pairs = append(pairs, o)
+		pairs, err := in.popToMark(">>")
+		if err != nil {
+			return err
 		}
 		if len(pairs)%2 != 0 {
 			return &Error{Name: "rangecheck", Cmd: ">> (odd number of operands)"}
 		}
 		d := NewDict(len(pairs) / 2)
-		for i := len(pairs) - 1; i > 0; i -= 2 {
-			if err := d.Put(pairs[i], pairs[i-1]); err != nil {
+		for i := 0; i < len(pairs); i += 2 {
+			if err := d.Put(pairs[i], pairs[i+1]); err != nil {
 				return err
 			}
 		}
@@ -696,8 +717,7 @@ func registerDictOps(in *Interp) {
 		if err != nil {
 			return err
 		}
-		d.Undef(key)
-		return nil
+		return d.Undef(key)
 	})
 }
 
@@ -718,22 +738,11 @@ func registerArrayOps(in *Interp) {
 		return nil
 	})
 	in.Register("]", func(in *Interp) error {
-		var elems []Object
-		for {
-			o, err := in.Pop()
-			if err != nil {
-				return &Error{Name: "unmatchedmark", Cmd: "]"}
-			}
-			if o.Kind == KMark {
-				break
-			}
-			elems = append(elems, o)
+		elems, err := in.popToMark("]")
+		if err != nil {
+			return err
 		}
-		// Reverse into stack order.
-		for i, j := 0, len(elems)-1; i < j; i, j = i+1, j-1 {
-			elems[i], elems[j] = elems[j], elems[i]
-		}
-		in.Push(ArrayObj(elems...))
+		in.Push(ArrayObj(slices.Clone(elems)...))
 		return nil
 	})
 	in.Register("aload", func(in *Interp) error {
@@ -755,6 +764,9 @@ func registerArrayOps(in *Interp) {
 		}
 		if o.Kind != KArray {
 			return typecheck("astore", o)
+		}
+		if o.A.frozen {
+			return readOnly("array")
 		}
 		n := len(o.A.E)
 		if len(in.Stack) < n {
@@ -839,6 +851,9 @@ func registerArrayOps(in *Interp) {
 			}
 			if key.I < 0 || key.I >= int64(len(o.A.E)) {
 				return &Error{Name: "rangecheck", Cmd: "put"}
+			}
+			if o.A.frozen {
+				return readOnly("array")
 			}
 			o.A.E[key.I] = val
 		case KDict:
@@ -968,8 +983,12 @@ func registerConversionOps(in *Interp) {
 }
 
 // bindProc replaces executable names bound to operators with the
-// operators themselves, recursively through nested procedures.
+// operators themselves, recursively through nested procedures. As in
+// PostScript, it leaves read-only procedures as they are.
 func (in *Interp) bindProc(p Object) {
+	if p.A.frozen {
+		return
+	}
 	for i, e := range p.A.E {
 		switch {
 		case e.Kind == KName && e.Exec:

@@ -1,268 +1,314 @@
 package ps
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
 
+// Byte classes for the scanner, one table lookup per byte in the
+// manner of a generated lexer's bitmap.
+const (
+	clSpace    = 1 << iota // separates tokens
+	clDelim                // ends a name and starts a token of its own
+	clNumStart             // may start a number: digit, sign or dot
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range []byte(" \t\n\r\f\x00") {
+		t[c] |= clSpace
+	}
+	for _, c := range []byte("()<>[]{}/%") {
+		t[c] |= clDelim
+	}
+	for _, c := range []byte("0123456789+-.") {
+		t[c] |= clNumStart
+	}
+	return t
+}()
+
 // Scanner reads PostScript tokens. `{ ... }` bodies are scanned into
 // executable arrays; `[`, `]`, `<<`, and `>>` are returned as executable
 // names and interpreted by operators of the same name.
+//
+// The scanner works on a window of the input. For a string source the
+// window is the whole string, so names and strings without escapes are
+// substrings of the source. A reader source refills the window as
+// tokens need more bytes, never reading ahead of the token it is
+// scanning: executing one token from a pipe may be what makes the peer
+// write the next.
 type Scanner struct {
-	r    *bufio.Reader
+	src  io.Reader // refills win; nil for a string source
+	buf  []byte    // read buffer of a reader source
+	win  string    // the input in hand
+	pos  int       // next byte of win
+	err  error     // why the input ended, once it has
 	name string
 	line int
+
+	elems []Object // elements of the procedure bodies being scanned
+	open  []int    // where each unfinished body's elements start
 }
 
 // NewScanner returns a scanner reading from r; name labels errors.
 func NewScanner(r io.Reader, name string) *Scanner {
-	return &Scanner{r: bufio.NewReader(r), name: name, line: 1}
+	return &Scanner{src: r, name: name, line: 1}
 }
 
 // NewStringScanner scans the given source text.
 func NewStringScanner(src, name string) *Scanner {
-	return NewScanner(strings.NewReader(src), name)
+	return &Scanner{win: src, err: io.EOF, name: name, line: 1}
 }
 
 func (s *Scanner) errf(format string, args ...any) error {
 	return &Error{Name: "syntaxerror", Cmd: fmt.Sprintf("%s:%d: %s", s.name, s.line, fmt.Sprintf(format, args...))}
 }
 
-func (s *Scanner) readByte() (byte, error) {
-	c, err := s.r.ReadByte()
-	if c == '\n' {
-		s.line++
+// fill replaces the exhausted window with the next bytes of a reader
+// source. It reports false at the end of input, with the reason in
+// s.err.
+func (s *Scanner) fill() bool {
+	if s.err != nil {
+		return false
 	}
-	return c, err
-}
-
-func (s *Scanner) unread(c byte) {
-	if c == '\n' {
-		s.line--
+	if s.buf == nil {
+		s.buf = make([]byte, 1024)
 	}
-	_ = s.r.UnreadByte()
-}
-
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == 0
-}
-
-func isDelim(c byte) bool {
-	switch c {
-	case '(', ')', '<', '>', '[', ']', '{', '}', '/', '%':
-		return true
+	for empty := 0; empty < 100; empty++ {
+		n, err := s.src.Read(s.buf)
+		if err != nil {
+			s.err = err
+		}
+		if n > 0 {
+			s.win, s.pos = string(s.buf[:n]), 0
+			return true
+		}
+		if err != nil {
+			return false
+		}
 	}
+	s.err = io.ErrNoProgress
 	return false
 }
 
+// next consumes and returns the next byte; ok is false at the end of
+// input.
+func (s *Scanner) next() (c byte, ok bool) {
+	if s.pos == len(s.win) && !s.fill() {
+		return 0, false
+	}
+	c = s.win[s.pos]
+	s.pos++
+	if c == '\n' {
+		s.line++
+	}
+	return c, true
+}
+
 // Next returns the next token, or io.EOF when the input is exhausted.
+// Procedure bodies nest without recursion: the elements of unfinished
+// bodies accumulate on s.elems, and s.open holds where each body's
+// elements start, innermost last.
 func (s *Scanner) Next() (Object, error) {
+	s.elems, s.open = s.elems[:0], s.open[:0]
 	for {
-		c, err := s.readByte()
-		if err != nil {
-			return Object{}, err
+		c, ok := s.next()
+		if !ok {
+			if len(s.open) > 0 {
+				return Object{}, s.errf("unterminated procedure")
+			}
+			return Object{}, s.err
 		}
+		var tok Object
 		switch {
-		case isSpace(c):
+		case byteClass[c]&clSpace != 0:
 			continue
 		case c == '%':
-			for {
-				c, err = s.readByte()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return Object{}, err
-				}
-				if c == '\n' {
-					break
-				}
+			for c != '\n' && ok {
+				c, ok = s.next()
 			}
 			continue
-		case c == '(':
-			return s.scanString()
 		case c == '{':
-			return s.scanProc()
+			s.open = append(s.open, len(s.elems))
+			continue
 		case c == '}':
-			return Object{}, s.errf("unmatched }")
-		case c == '/':
-			name, err := s.scanName()
+			if len(s.open) == 0 {
+				return Object{}, s.errf("unmatched }")
+			}
+			start := s.open[len(s.open)-1]
+			s.open = s.open[:len(s.open)-1]
+			var body []Object
+			if len(s.elems) > start {
+				body = slices.Clone(s.elems[start:])
+			}
+			s.elems = s.elems[:start]
+			tok = Proc(body...)
+		case c == '(':
+			str, err := s.scanString()
 			if err != nil {
 				return Object{}, err
 			}
-			return LitName(name), nil
-		case c == '[' || c == ']':
-			return ExecName(string(c)), nil
-		case c == '<':
-			c2, err := s.readByte()
-			if err == nil && c2 == '<' {
-				return ExecName("<<"), nil
+			tok = Str(str)
+		case c == '/':
+			name, err := s.scanName(s.pos)
+			if err != nil {
+				return Object{}, err
 			}
-			if err == nil {
-				s.unread(c2)
+			tok = LitName(name)
+		case c == '[':
+			tok = ExecName("[")
+		case c == ']':
+			tok = ExecName("]")
+		case c == '<' || c == '>':
+			if s.pos == len(s.win) {
+				s.fill()
 			}
-			return Object{}, s.errf("hex strings are not in the dialect")
-		case c == '>':
-			c2, err := s.readByte()
-			if err == nil && c2 == '>' {
-				return ExecName(">>"), nil
+			if s.pos == len(s.win) || s.win[s.pos] != c {
+				if c == '<' {
+					return Object{}, s.errf("hex strings are not in the dialect")
+				}
+				return Object{}, s.errf("unexpected >")
 			}
-			if err == nil {
-				s.unread(c2)
+			s.pos++
+			if c == '<' {
+				tok = ExecName("<<")
+			} else {
+				tok = ExecName(">>")
 			}
-			return Object{}, s.errf("unexpected >")
 		case c == ')':
 			return Object{}, s.errf("unmatched )")
 		default:
-			s.unread(c)
-			word, err := s.scanWord()
+			word, err := s.scanName(s.pos - 1)
 			if err != nil {
 				return Object{}, err
 			}
 			if o, ok := parseNumber(word); ok {
-				return o, nil
+				tok = o
+			} else {
+				tok = ExecName(word)
 			}
-			return ExecName(word), nil
 		}
+		if len(s.open) == 0 {
+			return tok, nil
+		}
+		s.elems = append(s.elems, tok)
 	}
 }
 
-func (s *Scanner) scanWord() (string, error) {
-	var b strings.Builder
+// scanName returns the name that starts at win[start] and runs to the
+// next space or delimiter or the end of input. It is empty after a
+// bare `/`.
+func (s *Scanner) scanName(start int) (string, error) {
+	var acc []byte // the name so far, once it spans windows
 	for {
-		c, err := s.readByte()
-		if err == io.EOF {
+		i := s.pos
+		for i < len(s.win) && byteClass[s.win[i]]&(clSpace|clDelim) == 0 {
+			i++
+		}
+		s.pos = i
+		if i < len(s.win) || s.err != nil {
 			break
 		}
-		if err != nil {
-			return "", err
+		acc = append(acc, s.win[start:]...)
+		start = len(s.win)
+		if s.fill() {
+			start = 0
 		}
-		if isSpace(c) || isDelim(c) {
-			s.unread(c)
-			break
-		}
-		b.WriteByte(c)
 	}
-	if b.Len() == 0 {
-		return "", s.errf("empty token")
+	if s.pos == len(s.win) && s.err != nil && s.err != io.EOF {
+		return "", s.err
 	}
-	return b.String(), nil
+	name := s.win[start:s.pos]
+	if acc != nil {
+		name = string(append(acc, name...))
+	}
+	return name, nil
 }
 
-func (s *Scanner) scanName() (string, error) {
-	var b strings.Builder
-	for {
-		c, err := s.readByte()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", err
-		}
-		if isSpace(c) || isDelim(c) {
-			s.unread(c)
-			break
-		}
-		b.WriteByte(c)
-	}
-	return b.String(), nil
-}
-
-func (s *Scanner) scanString() (Object, error) {
-	var b strings.Builder
+// scanString returns the text of a string whose `(` has been consumed.
+// Without escapes or a window refill, the text is a substring of the
+// input.
+func (s *Scanner) scanString() (string, error) {
+	var acc []byte // the text before win[run:], once it is not a substring
+	run := s.pos
 	depth := 1
 	for {
-		c, err := s.readByte()
-		if err != nil {
-			return Object{}, s.errf("unterminated string")
+		if s.pos == len(s.win) {
+			acc = append(acc, s.win[run:]...)
+			if !s.fill() {
+				return "", s.errf("unterminated string")
+			}
+			run = 0
 		}
+		c := s.win[s.pos]
+		s.pos++
 		switch c {
-		case '\\':
-			c2, err := s.readByte()
-			if err != nil {
-				return Object{}, s.errf("unterminated string escape")
-			}
-			switch c2 {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case 'b':
-				b.WriteByte('\b')
-			case 'f':
-				b.WriteByte('\f')
-			case '\n':
-				// line continuation: nothing
-			case '(', ')', '\\':
-				b.WriteByte(c2)
-			default:
-				if c2 >= '0' && c2 <= '7' {
-					v := int(c2 - '0')
-					for i := 0; i < 2; i++ {
-						c3, err := s.readByte()
-						if err != nil {
-							break
-						}
-						if c3 < '0' || c3 > '7' {
-							s.unread(c3)
-							break
-						}
-						v = v*8 + int(c3-'0')
-					}
-					b.WriteByte(byte(v))
-				} else {
-					b.WriteByte(c2)
-				}
-			}
+		case '\n':
+			s.line++
 		case '(':
 			depth++
-			b.WriteByte(c)
 		case ')':
-			depth--
-			if depth == 0 {
-				return Str(b.String()), nil
+			if depth--; depth == 0 {
+				if acc == nil {
+					return s.win[run : s.pos-1], nil
+				}
+				return string(append(acc, s.win[run:s.pos-1]...)), nil
 			}
-			b.WriteByte(c)
-		default:
-			b.WriteByte(c)
+		case '\\':
+			acc = append(acc, s.win[run:s.pos-1]...)
+			c2, ok := s.next()
+			if !ok {
+				return "", s.errf("unterminated string escape")
+			}
+			acc = s.escape(acc, c2)
+			run = s.pos
 		}
 	}
 }
 
-func (s *Scanner) scanProc() (Object, error) {
-	var elems []Object
-	for {
-		c, err := s.readByte()
-		if err != nil {
-			return Object{}, s.errf("unterminated procedure")
-		}
-		if isSpace(c) {
-			continue
-		}
-		if c == '}' {
-			return Proc(elems...), nil
-		}
-		s.unread(c)
-		tok, err := s.Next()
-		if err != nil {
-			if err == io.EOF {
-				return Object{}, s.errf("unterminated procedure")
-			}
-			return Object{}, err
-		}
-		elems = append(elems, tok)
+// escape appends the byte that the escape `\c` (and, for an octal
+// escape, up to two more digits) stands for.
+func (s *Scanner) escape(acc []byte, c byte) []byte {
+	switch c {
+	case 'n':
+		return append(acc, '\n')
+	case 't':
+		return append(acc, '\t')
+	case 'r':
+		return append(acc, '\r')
+	case 'b':
+		return append(acc, '\b')
+	case 'f':
+		return append(acc, '\f')
+	case '\n':
+		return acc // line continuation
 	}
+	if c < '0' || c > '7' {
+		return append(acc, c)
+	}
+	v := int(c - '0')
+	for i := 0; i < 2; i++ {
+		if s.pos == len(s.win) && !s.fill() {
+			break
+		}
+		d := s.win[s.pos]
+		if d < '0' || d > '7' {
+			break
+		}
+		s.pos++
+		v = v*8 + int(d-'0')
+	}
+	return append(acc, byte(v))
 }
 
 // parseNumber recognizes integers, reals, and radix literals like
 // 16#000023d8 (§3 uses radix-16 addresses in loader tables).
 func parseNumber(word string) (Object, bool) {
-	if word == "" {
+	// A word that cannot start a number is a name; most words are, and
+	// rejecting them here spares strconv building an error for each.
+	if word == "" || byteClass[word[0]]&clNumStart == 0 {
 		return Object{}, false
 	}
 	if i := strings.IndexByte(word, '#'); i > 0 {
@@ -285,12 +331,7 @@ func parseNumber(word string) (Object, bool) {
 		return Int(v), true
 	}
 	if v, err := strconv.ParseFloat(word, 64); err == nil {
-		// Require a leading digit, sign, or dot so that names such as
-		// `e10` are not misread as numbers.
-		c := word[0]
-		if (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' {
-			return Real(v), true
-		}
+		return Real(v), true
 	}
 	return Object{}, false
 }
