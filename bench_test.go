@@ -110,6 +110,10 @@ func benchReadSymtab(b *testing.B, lines int) {
 func BenchmarkReadSymtabHello(b *testing.B) { benchReadSymtab(b, 1) }
 func BenchmarkReadSymtabLcc(b *testing.B)   { benchReadSymtab(b, lccSized) }
 
+// benchConnect times a debugger connecting to progs, reading each
+// distinct loader table once, afresh: every iteration is a cold
+// connect. A second machine running the same program shares the first
+// one's table.
 func benchConnect(b *testing.B, progs ...*driver.Program) {
 	b.Helper()
 	b.ResetTimer()
@@ -118,15 +122,49 @@ func benchConnect(b *testing.B, progs ...*driver.Program) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		tables := map[string]*symtab.Table{}
 		for j, prog := range progs {
 			client, _, _, err := nub.Launch(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := d.AttachClient(fmt.Sprint(j), client, prog.LoaderPS); err != nil {
+			tbl, ok := tables[prog.LoaderPS]
+			if !ok {
+				if tbl, err = core.LoadTable(prog.LoaderPS); err != nil {
+					b.Fatal(err)
+				}
+				tables[prog.LoaderPS] = tbl
+			}
+			if _, err := d.AttachTable(fmt.Sprint(j), client, tbl); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// benchConnectAgain times connecting to a program this process has
+// attached before: the attach shares one table, kept from the second
+// attach on.
+func benchConnectAgain(b *testing.B, prog *driver.Program) {
+	b.Helper()
+	attach := func() {
+		d, err := core.New(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		client, _, _, err := nub.Launch(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.AttachClient("t", client, prog.LoaderPS); err != nil {
+			b.Fatal(err)
+		}
+	}
+	attach()
+	attach()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		attach()
 	}
 }
 
@@ -147,6 +185,14 @@ func BenchmarkConnectCrossArch(b *testing.B) {
 	benchConnect(b,
 		buildFor(b, "mips", "lcc.c", workload.Big(lccSized), true, false),
 		buildFor(b, "sparc", "lcc.c", workload.Big(lccSized), true, false))
+}
+
+func BenchmarkConnectHelloAgain(b *testing.B) {
+	benchConnectAgain(b, buildFor(b, "mips", "hello.c", workload.Hello, true, false))
+}
+
+func BenchmarkConnectLccAgain(b *testing.B) {
+	benchConnectAgain(b, buildFor(b, "mips", "lcc.c", workload.Big(lccSized), true, false))
 }
 
 func BenchmarkReadStabsBaseline(b *testing.B) {

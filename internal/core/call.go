@@ -246,7 +246,7 @@ func (t *Target) CallInt(name string, args ...int64) (int64, error) {
 // procedure ({ (label) GlobalCode }) and the loader table, or from the
 // realized location if the where has already been memoized (§5).
 func (t *Target) procAddr(e symtab.Entry) (uint32, error) {
-	w, ok := e.D.GetName("where")
+	w, ok := t.whereOf(e.D)
 	switch {
 	case ok && w.Kind == ps.KArray && len(w.A.E) == 2 &&
 		isName(w.A.E[1], "GlobalCode") && w.A.E[0].Kind == ps.KString:

@@ -139,8 +139,15 @@ func New(out io.Writer) (*Debugger, error) {
 }
 
 // debuggerOf returns the debugger that owns in; the debugging
-// operators are shared by every debugger and find theirs here.
-func debuggerOf(in *ps.Interp) *Debugger { return in.Host.(*Debugger) }
+// operators are shared by every debugger and find theirs here. An
+// interpreter no debugger owns, such as one reading a symbol table,
+// gets a debugger with no targets.
+func debuggerOf(in *ps.Interp) *Debugger {
+	if d, ok := in.Host.(*Debugger); ok {
+		return d
+	}
+	return &Debugger{In: in}
+}
 
 // Current returns the current target, if any.
 func (d *Debugger) Current() *Target { return d.cur }
@@ -191,8 +198,9 @@ func (d *Debugger) CurrentFrame() *frame.Frame {
 
 // Attach connects to a nub over conn (which may be a network
 // connection to another machine) and loads the program's loader-table
-// PostScript. The nub tells us the architecture; the symbol table must
-// agree (§2: ldb uses the recorded architecture to find its
+// PostScript, sharing the table with every other attach of the same
+// text (see sharedTable). The nub tells us the architecture; the symbol
+// table must agree (§2: ldb uses the recorded architecture to find its
 // machine-dependent code and data).
 func (d *Debugger) Attach(name string, conn io.ReadWriter, loaderPS string) (*Target, error) {
 	client, err := nub.Connect(conn)
@@ -208,11 +216,21 @@ func (d *Debugger) AttachClient(name string, client *nub.Client, loaderPS string
 }
 
 func (d *Debugger) attach(name string, client *nub.Client, loaderPS string) (*Target, error) {
-	a, ok := arch.Lookup(client.ArchName)
-	if !ok {
-		return nil, fmt.Errorf("core: target runs unknown architecture %q", client.ArchName)
+	if _, err := clientArch(client); err != nil {
+		return nil, err
 	}
-	table, err := symtab.Load(d.In, loaderPS)
+	table, err := sharedTable(loaderPS)
+	if err != nil {
+		return nil, err
+	}
+	return d.AttachTable(name, client, table)
+}
+
+// AttachTable wires an already-connected nub client to a symbol table
+// the caller has read (see LoadTable). The table must match the object
+// code the nub runs and be for the nub's architecture.
+func (d *Debugger) AttachTable(name string, client *nub.Client, table *symtab.Table) (*Target, error) {
+	a, err := clientArch(client)
 	if err != nil {
 		return nil, err
 	}
@@ -227,6 +245,15 @@ func (d *Debugger) attach(name string, client *nub.Client, loaderPS string) (*Ta
 		return nil, fmt.Errorf("core: symbol table is for %s but the target runs %s", ta, a.Name())
 	}
 	return d.adoptTarget(name, a, client, table)
+}
+
+// clientArch returns the architecture the nub reported.
+func clientArch(client *nub.Client) (arch.Arch, error) {
+	a, ok := arch.Lookup(client.ArchName)
+	if !ok {
+		return nil, fmt.Errorf("core: target runs unknown architecture %q", client.ArchName)
+	}
+	return a, nil
 }
 
 // adoptTarget registers a new target (with or without a symbol table)
@@ -251,9 +278,9 @@ func (d *Debugger) adoptTarget(name string, a arch.Arch, client *nub.Client, tab
 // protocol provides without the table — and every source-level
 // operation reports that it needs symbols.
 func (d *Debugger) AttachMachineLevel(name string, client *nub.Client) (*Target, error) {
-	a, ok := arch.Lookup(client.ArchName)
-	if !ok {
-		return nil, fmt.Errorf("core: target runs unknown architecture %q", client.ArchName)
+	a, err := clientArch(client)
+	if err != nil {
+		return nil, err
 	}
 	return d.adoptTarget(name, a, client, nil)
 }

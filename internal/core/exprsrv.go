@@ -263,7 +263,7 @@ func registerExprOps(in *ps.Interp) {
 
 // whereDesc classifies an entry's where procedure for the wire.
 func (t *Target) whereDesc(e symtab.Entry) (string, error) {
-	w, ok := e.D.GetName("where")
+	w, ok := t.whereOf(e.D)
 	if !ok {
 		return "", fmt.Errorf("no location")
 	}

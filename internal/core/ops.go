@@ -290,11 +290,13 @@ func registerOps(in *ps.Interp) {
 		return nil
 	})
 
-	// GetMemo realizes deferred dictionary values (quoted strings) on
-	// first access and replaces them (§5: procedures interpreted at
-	// most once are replaced with their results).
+	// GetMemo fetches a value from a type dictionary or procedure side
+	// dictionary, realizing a deferred /loci or /&fields body through
+	// the current target's symbol table: once per table, under the
+	// table's realize budget (§5: procedures interpreted at most once
+	// are replaced with their results).
 	in.Register("GetMemo", func(in *ps.Interp) error {
-		key, err := in.Pop()
+		key, err := in.PopName("GetMemo")
 		if err != nil {
 			return err
 		}
@@ -302,40 +304,18 @@ func registerOps(in *ps.Interp) {
 		if err != nil {
 			return err
 		}
-		v, ok := dict.Get(key)
-		if !ok {
-			return &ps.Error{Name: "undefined", Cmd: "GetMemo: " + ps.Cvs(key)}
+		if _, ok := dict.GetName(key); !ok {
+			return &ps.Error{Name: "undefined", Cmd: "GetMemo: " + key}
 		}
-		if v.Kind == ps.KString && looksDeferred(v.S) {
-			before := len(in.Stack)
-			if err := in.RunStringNamed(v.S, "<deferred>"); err != nil {
-				return err
-			}
-			if len(in.Stack) == before+1 {
-				nv, _ := in.Pop()
-				_ = dict.Put(key, nv)
-				in.Push(nv)
-				return nil
-			}
-			return &ps.Error{Name: "rangecheck", Cmd: "GetMemo"}
+		t := debuggerOf(in).cur
+		if t == nil || t.Table == nil {
+			return &ps.Error{Name: "notarget", Cmd: "GetMemo"}
+		}
+		v, err := t.Table.GetMemo(dict, key)
+		if err != nil {
+			return err
 		}
 		in.Push(v)
 		return nil
 	})
-}
-
-// looksDeferred reports whether a string value is quoted PostScript
-// rather than plain data (deferred bodies start with a bracket).
-func looksDeferred(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '[', '<', '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
 }

@@ -45,6 +45,12 @@ type Target struct {
 	exprTrace   func(dir, line string)
 	conds       map[uint32]string // breakpoint conditions by address
 
+	// wheres memoizes frame-independent where results by procedure;
+	// each entry and stopping point has its own. They are target state
+	// — LazyData reads this target's anchor table — so they live here,
+	// not in the shared symbol table.
+	wheres map[*ps.Array]ps.Object
+
 	// Stdout, when set by the embedder, points at the target process's
 	// collected output (the in-process "child" arrangement).
 	Stdout *bytes.Buffer
@@ -262,19 +268,46 @@ func (t *Target) ContinueToBreakpoint() (*nub.Event, error) {
 	}
 }
 
-// stopLoc realizes a stopping point's object-code location, replacing
-// the where procedure with its result (interpreted at most once, §5).
+// stopLoc realizes a stopping point's object-code location.
 func (t *Target) stopLoc(s *symtab.Stop) (uint32, error) {
-	t.ensureCurrent()
-	o, err := t.D.evalWhere(s.Where)
+	o, err := t.locate(s.Where)
 	if err != nil {
 		return 0, err
 	}
-	if s.Elem != nil && frameIndependent(s.Where) {
-		s.Elem.PutName("where", o)
-	}
 	loc := o.X.(*LocExt).Loc
 	return uint32(loc.Offset), nil
+}
+
+// whereOf returns the where of entry d as this target knows it: the
+// memoized location, or else the procedure.
+func (t *Target) whereOf(d *ps.Dict) (ps.Object, bool) {
+	w, ok := d.GetName("where")
+	if o, memo := t.wheres[w.A]; memo {
+		return o, true
+	}
+	return w, ok
+}
+
+// locate evaluates the where procedure w in this target. A
+// frame-independent result replaces the procedure for this target from
+// then on (procedures interpreted at most once are replaced with their
+// results, §5).
+func (t *Target) locate(w ps.Object) (ps.Object, error) {
+	if o, ok := t.wheres[w.A]; ok {
+		return o, nil
+	}
+	t.ensureCurrent()
+	o, err := t.D.evalWhere(w)
+	if err != nil {
+		return ps.Object{}, err
+	}
+	if frameIndependent(w) {
+		if t.wheres == nil {
+			t.wheres = make(map[*ps.Array]ps.Object)
+		}
+		t.wheres[w.A] = o
+	}
+	return o, nil
 }
 
 // ensureCurrent switches the debugger to this target if needed (the
@@ -411,11 +444,10 @@ func (t *Target) procEntryNameByAddr(addr uint32) (string, error) {
 			if !ok {
 				continue
 			}
-			o, err := t.D.evalWhere(w)
+			o, err := t.locate(w)
 			if err != nil {
 				return "", err
 			}
-			entry.PutName("where", o)
 			t.procsByAddr[uint32(o.X.(*LocExt).Loc.Offset)] = pref.S
 		}
 	}
@@ -484,19 +516,15 @@ func (t *Target) Lookup(id string) (symtab.Entry, error) {
 }
 
 // WhereLoc computes an entry's location in the current frame,
-// memoizing frame-independent results by replacement.
+// memoizing frame-independent results.
 func (t *Target) WhereLoc(e symtab.Entry) (amem.Location, error) {
-	t.ensureCurrent()
 	w, ok := e.D.GetName("where")
 	if !ok {
 		return amem.Location{}, fmt.Errorf("core: %s has no location", e.Name())
 	}
-	o, err := t.D.evalWhere(w)
+	o, err := t.locate(w)
 	if err != nil {
 		return amem.Location{}, err
-	}
-	if frameIndependent(w) {
-		e.D.PutName("where", o)
 	}
 	return o.X.(*LocExt).Loc, nil
 }

@@ -42,33 +42,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	}
 	// Solo clean reference per architecture: the bytes every chaos'd
 	// session must reproduce.
-	progs := make(map[string]*Program, len(allArches))
-	clean := make(map[string]string, len(allArches))
-	for _, a := range allArches {
-		prog, err := Build([]Source{{Name: "fib.c", Text: wireFibC}}, Options{Arch: a, Debug: true})
-		if err != nil {
-			t.Fatalf("%s: build: %v", a, err)
-		}
-		progs[a] = prog
-		var sink strings.Builder
-		d, err := core.New(&sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, _, _, err := nub.Launch(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tgt, err := d.AttachClient("clean:"+a, client, prog.LoaderPS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := serviceSoakScript(d, tgt, nil)
-		if err != nil {
-			t.Fatalf("%s: clean run: %v", a, err)
-		}
-		clean[a] = tr
-	}
+	progs, clean, bounds := soakReferences(t)
 
 	// The service under chaos: checkpoints every few thousand simulated
 	// instructions so resumes cross several auto-checkpoints, and a
@@ -76,7 +50,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	// of the sessions — after corrupting target memory the way a real
 	// crashed handler might.
 	s := nub.NewService()
-	s.ReadTimeout = 250 * time.Millisecond
+	s.ReadTimeout = bounds.read
 	s.CheckpointInterval = 4096
 	var hookFired atomic.Int64
 	var perID sync.Map
@@ -128,7 +102,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	// Pre-warm one clean session per architecture so the fleet attaches
 	// warm — and so the baseline holds with checkpointing armed.
 	for _, a := range allArches {
-		tr, _, err := soakServiceSession(addr, a, progs[a], -1, nil)
+		tr, _, err := soakServiceSession(addr, a, progs[a], -1, bounds.request, nil)
 		if err != nil {
 			t.Fatalf("%s: pre-warm: %v", a, err)
 		}
@@ -165,7 +139,7 @@ func TestServiceChaosSoak(t *testing.T) {
 					interrupt = chaosDetach
 				}
 			}
-			tr, st, err := soakServiceSession(addr, a, progs[a], seed, interrupt)
+			tr, st, err := soakServiceSession(addr, a, progs[a], seed, bounds.request, interrupt)
 			results <- result{i: i, a: a, tr: tr, st: st, err: err}
 		}(i)
 	}
@@ -206,7 +180,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	// The endpoint must come out healthy — one more clean session, then
 	// the crash-only counters must show the chaos actually happened and
 	// the pool must be drained.
-	tr, _, err := soakServiceSession(addr, allArches[0], progs[allArches[0]], -1, nil)
+	tr, _, err := soakServiceSession(addr, allArches[0], progs[allArches[0]], -1, bounds.request, nil)
 	if err != nil {
 		t.Fatalf("post-soak session: %v", err)
 	}

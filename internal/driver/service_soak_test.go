@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,72 @@ import (
 // session-multiplexing and cache-sharing seam.
 
 const soakSessions = 200
+
+// soakReferences builds fib.c for every architecture and runs the soak
+// script on each alone, over the in-memory transport: the transcripts
+// every soak session must reproduce. It also sizes the soak's wire time
+// bounds from the load (see soakBounds).
+func soakReferences(t *testing.T) (progs map[string]*Program, clean map[string]string, b soakBounds) {
+	t.Helper()
+	progs = make(map[string]*Program, len(allArches))
+	clean = make(map[string]string, len(allArches))
+	var solo time.Duration
+	for _, a := range allArches {
+		prog, err := Build([]Source{{Name: "fib.c", Text: wireFibC}}, Options{Arch: a, Debug: true})
+		if err != nil {
+			t.Fatalf("%s: build: %v", a, err)
+		}
+		progs[a] = prog
+		start := time.Now()
+		var sink strings.Builder
+		d, err := core.New(&sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, _, _, err := nub.Launch(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt, err := d.AttachClient("clean:"+a, client, prog.LoaderPS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := serviceSoakScript(d, tgt, nil)
+		if err != nil {
+			t.Fatalf("%s: clean run: %v", a, err)
+		}
+		clean[a] = tr
+		solo = max(solo, time.Since(start))
+	}
+	return progs, clean, newSoakBounds(solo)
+}
+
+// soakBounds are the soak's wire time bounds: the service's slowloris
+// read bound and the clients' request deadline.
+//
+// Constants do not fit: a session costs many times more under -race
+// than alone on an idle machine, and the fleet's sessions all contend
+// for the same few CPUs. Under that load a client's chunked frame can
+// stall between chunks past a fixed 250-ms read bound, and the last of
+// 200 simultaneous opens — each spawning a target while holding the
+// service's lock — can wait past a fixed 2-s deadline. Either way the
+// open is lost, and an open is not idempotent, so the client cannot
+// replay it. Both bounds therefore grow with the fleet's work
+// serialized over the CPUs, measured from the solo reference runs: no
+// request waits longer behind the others. The request deadline allows
+// four times that, for another test binary sharing the CPUs (go test
+// runs packages in parallel) and for margin.
+type soakBounds struct {
+	read, request time.Duration
+}
+
+func newSoakBounds(solo time.Duration) soakBounds {
+	fleet := solo * soakSessions / time.Duration(runtime.GOMAXPROCS(0))
+	return soakBounds{
+		read:    max(250*time.Millisecond, fleet),
+		request: max(2*time.Second, 4*fleet),
+	}
+}
 
 // serviceSoakPrint is wirePrint without the testing.T: the soak's
 // workers run off the test goroutine, where Fatalf is not allowed.
@@ -107,7 +174,7 @@ func serviceSoakScript(d *core.Debugger, tgt *core.Target, interrupt func() erro
 // fault-injected and kept dying underneath the session. A non-nil
 // interrupt runs mid-script with the live client — the chaos soak's
 // hook for detaching and riding a passivation/resurrection cycle.
-func soakServiceSession(addr, program string, prog *Program, seed int64, interrupt func(*nub.Client) error) (string, nub.StatsSnapshot, error) {
+func soakServiceSession(addr, program string, prog *Program, seed int64, deadline time.Duration, interrupt func(*nub.Client) error) (string, nub.StatsSnapshot, error) {
 	var inj *faultrw.Injector
 	if seed >= 0 {
 		inj = faultrw.New(seed, faultrw.Config{
@@ -143,7 +210,7 @@ func soakServiceSession(addr, program string, prog *Program, seed int64, interru
 		inj.SetGate(client.Replayable)
 	}
 	client.SetRedial(dial)
-	client.SetTimeout(2 * time.Second)
+	client.SetTimeout(deadline)
 	client.SetRetries(8)
 	if _, err := client.OpenSession(program); err != nil {
 		return "", nub.StatsSnapshot{}, fmt.Errorf("open %s: %w", program, err)
@@ -175,39 +242,11 @@ func TestServiceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak in -short mode")
 	}
-	// Solo clean reference per architecture, over the in-memory
-	// transport: the bytes every concurrent session must reproduce.
-	progs := make(map[string]*Program, len(allArches))
-	clean := make(map[string]string, len(allArches))
-	for _, a := range allArches {
-		prog, err := Build([]Source{{Name: "fib.c", Text: wireFibC}}, Options{Arch: a, Debug: true})
-		if err != nil {
-			t.Fatalf("%s: build: %v", a, err)
-		}
-		progs[a] = prog
-		var sink strings.Builder
-		d, err := core.New(&sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, _, _, err := nub.Launch(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tgt, err := d.AttachClient("clean:"+a, client, prog.LoaderPS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := serviceSoakScript(d, tgt, nil)
-		if err != nil {
-			t.Fatalf("%s: clean run: %v", a, err)
-		}
-		clean[a] = tr
-	}
+	progs, clean, bounds := soakReferences(t)
 
 	// One endpoint for everything.
 	s := nub.NewService()
-	s.ReadTimeout = 250 * time.Millisecond
+	s.ReadTimeout = bounds.read
 	for _, a := range allArches {
 		prog := progs[a]
 		s.Register(a, prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
@@ -225,7 +264,7 @@ func TestServiceSoak(t *testing.T) {
 	// breakpoints before exiting, leaving the text pristine) and every
 	// fleet session below attaches warm.
 	for _, a := range allArches {
-		tr, _, err := soakServiceSession(addr, a, progs[a], -1, nil)
+		tr, _, err := soakServiceSession(addr, a, progs[a], -1, bounds.request, nil)
 		if err != nil {
 			t.Fatalf("%s: pre-warm: %v", a, err)
 		}
@@ -292,7 +331,7 @@ func TestServiceSoak(t *testing.T) {
 			if i%3 == 0 {
 				seed = int64(1992 + i)
 			}
-			tr, st, err := soakServiceSession(addr, a, progs[a], seed, nil)
+			tr, st, err := soakServiceSession(addr, a, progs[a], seed, bounds.request, nil)
 			results <- result{i: i, a: a, tr: tr, st: st, err: err}
 		}(i)
 	}
@@ -331,7 +370,7 @@ func TestServiceSoak(t *testing.T) {
 	// shared decode cache must have carried the fleet: every fleet
 	// session attached after the pre-warm publishes, so warm adoptions
 	// must at least match the fleet size.
-	tr, _, err := soakServiceSession(addr, allArches[0], progs[allArches[0]], -1, nil)
+	tr, _, err := soakServiceSession(addr, allArches[0], progs[allArches[0]], -1, bounds.request, nil)
 	if err != nil {
 		t.Fatalf("post-soak session: %v", err)
 	}
@@ -360,6 +399,7 @@ func TestServiceSoak(t *testing.T) {
 	if st.SharedHits < soakSessions {
 		t.Errorf("shared-cache hits = %d, want >= %d (fleet should attach warm)", st.SharedHits, soakSessions)
 	}
+	t.Logf("read bound %v, request deadline %v", bounds.read, bounds.request)
 	t.Logf("sessions=%d reconnects=%d replays=%d hostile=%d peak=%d evicted=%d shared=%d/%d requests=%d",
 		soakSessions, reconnects, replays, hostileRounds.Load(),
 		st.Peak, st.Evicted, st.SharedHits, st.SharedMisses, st.TotalRequests)

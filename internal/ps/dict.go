@@ -84,6 +84,9 @@ func NewDict(capacity int) *Dict {
 // Len returns the number of key/value pairs.
 func (d *Dict) Len() int { return len(d.items) }
 
+// Frozen reports whether d is read-only (see Freeze).
+func (d *Dict) Frozen() bool { return d.frozen }
+
 // find returns the index of key in items.
 func (d *Dict) find(key Object) (int, bool) {
 	if isText(key) {
@@ -244,24 +247,31 @@ func (d *Dict) ForAll(f func(k, v Object) error) error {
 // read-only: `put`, `def`, `store`, `astore` and `undef` on them raise
 // invalidaccess. Frozen objects are never written again, so any number
 // of interpreters may share them.
-func Freeze(o Object) {
+func Freeze(o Object) { freeze(&o) }
+
+func freeze(o *Object) {
 	switch o.Kind {
 	case KArray:
 		if o.A.frozen {
 			return
 		}
 		o.A.frozen = true
-		for _, e := range o.A.E {
-			Freeze(e)
+		for i := range o.A.E {
+			freeze(&o.A.E[i])
 		}
 	case KDict:
 		if o.D.frozen {
 			return
 		}
 		o.D.frozen = true
-		for _, it := range o.D.items {
-			Freeze(it.key)
-			Freeze(it.val)
+		// A frozen dictionary never grows: give back the room set aside
+		// for entries it will not get.
+		if cap(o.D.items) > len(o.D.items) {
+			o.D.items = append([]dictEntry(nil), o.D.items...)
+		}
+		for i := range o.D.items {
+			freeze(&o.D.items[i].key)
+			freeze(&o.D.items[i].val)
 		}
 	}
 }

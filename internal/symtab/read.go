@@ -1,21 +1,48 @@
 package symtab
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"ldb/internal/ps"
 )
 
 // Table is the debugger's view of a program's symbol tables: the
-// loader table (§3) wrapping the top-level dictionary (§2).
+// loader table (§3) wrapping the top-level dictionary (§2). A table is
+// read-only once Load returns — every dictionary and array reachable
+// from it is frozen (ps.Freeze), and deferred bodies are realized into
+// the table's own memo instead of being written back — so any number
+// of debuggers and targets, on any goroutines, may share one. What
+// depends on a target's memory (where results) stays with the target.
 type Table struct {
-	In     *ps.Interp
 	Loader *ps.Dict
 	Top    *ps.Dict
-	// Env holds this program's definitions. Each target gets its own
+	// Env holds this program's definitions. Each table gets its own
 	// environment so several targets can share one interpreter without
 	// their symbol names colliding (§7: no target state in globals).
 	Env *ps.Dict
+
+	arch     string
+	archErr  error
+	validErr error
+	procs    []ProcAddr // the proctable as emitted
+	byAddr   []ProcAddr // procs stably sorted by address
+	procsErr error
+
+	base *ps.Interp // forked to run the table's PostScript
+
+	mu       sync.Mutex            //ldb:lock symtab.table 61
+	realized map[memoKey]ps.Object // guarded by mu
+	stops    map[*ps.Dict][]Stop   // Loci results by procedure dictionary; guarded by mu
+}
+
+// memoKey names a realized deferred value: the value under key in
+// dictionary d (an entry of Env, or a /loci or /&fields value).
+type memoKey struct {
+	d   *ps.Dict
+	key string
 }
 
 // Execution budgets for untrusted symbol-table code. A loader table
@@ -32,16 +59,24 @@ const (
 )
 
 // Load interprets loader-table PostScript (the output of link.LoaderPS)
-// and wraps the resulting dictionary. The untrusted code runs under an
-// explicit step-and-depth budget: a hostile or corrupt table errors out
-// instead of spinning or recursing the interpreter into the ground.
-func Load(in *ps.Interp, loaderPS string) (*Table, error) {
-	env := ps.NewDict(256)
+// and wraps the resulting dictionary. The table's PostScript runs in
+// forks of base, an interpreter that has read its initial PostScript
+// (frozen, if tables on several goroutines share it) or a fresh one:
+// the table reads its text, and later realizes its deferred bodies, on
+// a dictionary stack of base's system and user dictionaries and the
+// table's own environment, so what it defines depends on the text
+// alone, never on the state of whoever attaches it. The untrusted code
+// runs under an explicit step-and-depth budget: a hostile or corrupt
+// table errors out instead of spinning or recursing the interpreter
+// into the ground. Load always reads afresh; embedders that attach one
+// program many times share its table.
+func Load(base *ps.Interp, loaderPS string) (*Table, error) {
+	env := ps.NewDict(0)
+	in := base.Fork()
 	in.DStack = append(in.DStack, env)
 	err := in.WithBudget(loadBudgetSteps, loadBudgetDepth, func() error {
 		return in.RunStringNamed(loaderPS, "<loader>")
 	})
-	in.DStack = in.DStack[:len(in.DStack)-1]
 	if err != nil {
 		return nil, fmt.Errorf("symtab: reading loader table: %w", err)
 	}
@@ -49,12 +84,21 @@ func Load(in *ps.Interp, loaderPS string) (*Table, error) {
 	if err != nil || o.Kind != ps.KDict {
 		return nil, fmt.Errorf("symtab: loader table did not yield a dictionary")
 	}
-	t := &Table{In: in, Loader: o.D, Env: env}
-	if top, ok := o.D.GetName("symtab"); ok && top.Kind == ps.KDict {
-		t.Top = top.D
-	}
-	if t.Top == nil {
+	top, ok := o.D.GetName("symtab")
+	if !ok || top.Kind != ps.KDict {
 		return nil, fmt.Errorf("symtab: loader table has no /symtab")
+	}
+	ps.Freeze(ps.DictObj(env))
+	ps.Freeze(o)
+	t := &Table{Loader: o.D, Top: top.D, Env: env, base: base}
+	t.arch, t.archErr = t.readArchitecture()
+	t.validErr = t.validate()
+	t.procs, t.procsErr = t.readProcTable()
+	t.byAddr = t.procs
+	byAddr := func(a, b ProcAddr) int { return cmp.Compare(a.Addr, b.Addr) }
+	if !slices.IsSortedFunc(t.procs, byAddr) {
+		t.byAddr = slices.Clone(t.procs)
+		slices.SortStableFunc(t.byAddr, byAddr)
 	}
 	return t, nil
 }
@@ -63,7 +107,9 @@ func Load(in *ps.Interp, loaderPS string) (*Table, error) {
 // which ldb uses at debug time to find its machine-dependent code and
 // data (§2). A missing or non-string entry is an error, not an empty
 // name: an empty name would silently fail the arch match downstream.
-func (t *Table) Architecture() (string, error) {
+func (t *Table) Architecture() (string, error) { return t.arch, t.archErr }
+
+func (t *Table) readArchitecture() (string, error) {
 	v, ok := t.Top.GetName("architecture")
 	if !ok {
 		return "", fmt.Errorf("symtab: top-level dictionary has no /architecture")
@@ -76,8 +122,10 @@ func (t *Table) Architecture() (string, error) {
 
 // Validate compares the anchor-symbol names in the top-level dictionary
 // with those in the loader table, ensuring the symbol table matches the
-// object code (§2).
-func (t *Table) Validate() error {
+// object code (§2). The comparison runs once, when the table is read.
+func (t *Table) Validate() error { return t.validErr }
+
+func (t *Table) validate() error {
 	anchors, ok := t.Top.GetName("anchors")
 	if !ok || anchors.Kind != ps.KArray {
 		return fmt.Errorf("symtab: top-level dictionary has no /anchors")
@@ -136,11 +184,15 @@ type ProcAddr struct {
 	Name string
 }
 
-// ProcTable returns the proctable, sorted by address as emitted. A
-// malformed table — missing, the wrong kind, an odd element count, or
-// pairs that are not (int, string) — is an error: silently skipping bad
-// pairs would misattribute pcs to the procedures around them.
-func (t *Table) ProcTable() ([]ProcAddr, error) {
+// ProcTable returns the proctable in the order emitted (sorted by
+// address). A malformed table — missing, the wrong kind, an odd element
+// count, or pairs that are not (int, string) — is an error: silently
+// skipping bad pairs would misattribute pcs to the procedures around
+// them. The table is parsed once, when it is read; callers must not
+// modify the slice.
+func (t *Table) ProcTable() ([]ProcAddr, error) { return t.procs, t.procsErr }
+
+func (t *Table) readProcTable() ([]ProcAddr, error) {
 	v, ok := t.Loader.GetName("proctable")
 	if !ok {
 		return nil, fmt.Errorf("symtab: loader table has no /proctable")
@@ -164,22 +216,24 @@ func (t *Table) ProcTable() ([]ProcAddr, error) {
 
 // ProcContaining maps a program counter to the procedure whose code
 // contains it (the first step in mapping a pc to a symbol-table entry,
-// §3). A malformed proctable contains no pc.
+// §3): the procedure with the greatest address at or below pc, the
+// last one listed among procedures at the same address. A malformed
+// proctable contains no pc.
 func (t *Table) ProcContaining(pc uint32) (ProcAddr, bool) {
-	procs, err := t.ProcTable()
-	if err != nil {
+	if t.procsErr != nil {
 		return ProcAddr{}, false
 	}
-	best := -1
-	for i, p := range procs {
-		if p.Addr <= pc && (best < 0 || p.Addr >= procs[best].Addr) {
-			best = i
+	// The first procedure past pc; the one before it contains pc.
+	i, _ := slices.BinarySearchFunc(t.byAddr, pc, func(p ProcAddr, pc uint32) int {
+		if p.Addr <= pc {
+			return -1
 		}
-	}
-	if best < 0 {
+		return 1
+	})
+	if i == 0 {
 		return ProcAddr{}, false
 	}
-	return procs[best], true
+	return t.byAddr[i-1], true
 }
 
 // RPTAddr returns the address of the MIPS runtime procedure table.
@@ -191,86 +245,76 @@ func (t *Table) RPTAddr() (uint32, bool) {
 	return uint32(v.I), true
 }
 
-// lookup finds a definition in the table's environment (falling back
-// to the interpreter's dictionary stack).
-func (t *Table) lookup(name string) (ps.Object, bool) {
-	if t.Env != nil {
-		if v, ok := t.Env.GetName(name); ok {
-			return v, true
-		}
+// run scans and executes a deferred body — an entry body quoted as a
+// string, §5's deferral — in a fork of the table's base with the
+// table's environment on the dictionary stack, and returns the one
+// value it leaves. Deferred bodies are as untrusted as the loader table
+// they came from, and they run lazily inside accessors: they run under
+// the realize budget.
+func (t *Table) run(body string) (ps.Object, error) {
+	in := t.base.Fork()
+	in.DStack = append(in.DStack, t.Env)
+	err := in.WithBudget(realizeBudgetSteps, realizeBudgetDepth, func() error {
+		return in.RunStringNamed(body, "<deferred>")
+	})
+	if err != nil {
+		return ps.Object{}, err
 	}
-	return t.In.Lookup(name)
+	if len(in.Stack) != 1 {
+		return ps.Object{}, fmt.Errorf("symtab: deferred body left %d values", len(in.Stack))
+	}
+	return in.Stack[0], nil
 }
 
-func (t *Table) define(name string, v ps.Object) {
-	if t.Env != nil {
-		t.Env.PutName(name, v)
-		return
-	}
-	t.In.UserDict().PutName(name, v)
-}
-
-// realize turns a deferred value (an entry body quoted as a string,
-// §5's deferral) into its real value by scanning and executing it.
+// realize returns the value of the deferred body under key in d.
 // Procedures interpreted at most once are replaced with their results:
-// callers re-store the realized value.
-func (t *Table) realize(v ps.Object) (ps.Object, error) {
-	if v.Kind != ps.KString {
+// the body of a table dictionary runs once per table, under the
+// table's lock, and every reader shares the frozen result, kept in the
+// table's memo. A writable dictionary (built at debug time, not by a
+// loader table) may change under its key, so its bodies run on every
+// access.
+func (t *Table) realize(d *ps.Dict, key, body string) (ps.Object, error) {
+	if !d.Frozen() {
+		return t.run(body)
+	}
+	k := memoKey{d, key}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v, ok := t.realized[k]; ok {
 		return v, nil
 	}
-	// Execute the string's tokens and take the resulting object. The
-	// body references type dictionaries by name, so the table's
-	// environment must be searchable while it runs.
-	pushed := false
-	if t.Env != nil {
-		found := false
-		for _, d := range t.In.DStack {
-			if d == t.Env {
-				found = true
-			}
-		}
-		if !found {
-			t.In.DStack = append(t.In.DStack, t.Env)
-			pushed = true
-		}
-	}
-	before := len(t.In.Stack)
-	// Deferred bodies are as untrusted as the loader table they came
-	// from, and they run lazily inside accessors — budget them too.
-	err := t.In.WithBudget(realizeBudgetSteps, realizeBudgetDepth, func() error {
-		return t.In.RunStringNamed(v.S, "<deferred>")
-	})
-	if pushed {
-		for i := len(t.In.DStack) - 1; i >= 0; i-- {
-			if t.In.DStack[i] == t.Env {
-				t.In.DStack = append(t.In.DStack[:i], t.In.DStack[i+1:]...)
-				break
-			}
-		}
-	}
+	v, err := t.run(body)
 	if err != nil {
-		return v, err
+		return ps.Object{}, err
 	}
-	if len(t.In.Stack) != before+1 {
-		return v, fmt.Errorf("symtab: deferred body left %d values", len(t.In.Stack)-before)
+	ps.Freeze(v)
+	if t.realized == nil {
+		t.realized = make(map[memoKey]ps.Object)
 	}
-	return t.In.Pop()
+	t.realized[k] = v
+	return v, nil
+}
+
+// Realized reports how many deferred bodies the table has realized and
+// kept.
+func (t *Table) Realized() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.realized)
 }
 
 // EntryOf resolves a symbol-table entry by its PostScript name,
-// realizing and replacing a deferred body on first access.
+// realizing a deferred body on first access.
 func (t *Table) EntryOf(name string) (*ps.Dict, error) {
-	v, ok := t.lookup(name)
+	v, ok := t.Env.GetName(name)
 	if !ok {
 		return nil, fmt.Errorf("symtab: no entry %s", name)
 	}
 	if v.Kind == ps.KString {
-		realized, err := t.realize(v)
-		if err != nil {
+		var err error
+		if v, err = t.realize(t.Env, name, v.S); err != nil {
 			return nil, err
 		}
-		t.define(name, realized)
-		v = realized
 	}
 	if v.Kind != ps.KDict {
 		return nil, fmt.Errorf("symtab: entry %s is a %s, not a dictionary", name, v.TypeName())
@@ -292,20 +336,15 @@ func (t *Table) EntryRef(o ps.Object) (*ps.Dict, error) {
 	return nil, fmt.Errorf("symtab: bad entry reference %s", ps.Format(o))
 }
 
-// GetMemo fetches key from d, realizing and replacing a deferred value
-// (used for /loci arrays and /&fields tables).
+// GetMemo fetches key from d, realizing a deferred value (used for
+// /loci arrays and /&fields tables).
 func (t *Table) GetMemo(d *ps.Dict, key string) (ps.Object, error) {
 	v, ok := d.GetName(key)
 	if !ok {
 		return ps.Object{}, fmt.Errorf("symtab: no /%s", key)
 	}
 	if v.Kind == ps.KString && (key == "loci" || key == "&fields") {
-		realized, err := t.realize(v)
-		if err != nil {
-			return ps.Object{}, err
-		}
-		d.PutName(key, realized)
-		return realized, nil
+		return t.realize(d, key, v.S)
 	}
 	return v, nil
 }
@@ -386,16 +425,50 @@ type Stop struct {
 	Index   int
 	Line    int
 	Col     int
-	Where   ps.Object // the location procedure (or realized location)
+	Where   ps.Object // the location procedure
 	Visible ps.Object // entry reference
-	Elem    *ps.Dict
 }
 
-// Loci returns a procedure's stopping points.
+// Loci returns a procedure's stopping points. Those of a table's own
+// (frozen) procedure dictionary are realized and read once per table,
+// under the table's lock; callers share the slice and must not modify
+// it. The realized /loci array itself is not kept: the stopping points
+// hold all of it that ldb uses.
 func (t *Table) Loci(procInfo *ps.Dict) ([]Stop, error) {
-	v, err := t.GetMemo(procInfo, "loci")
+	if !procInfo.Frozen() {
+		return t.readLoci(procInfo)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if stops, ok := t.stops[procInfo]; ok {
+		return stops, nil
+	}
+	stops, err := t.readLoci(procInfo)
 	if err != nil {
 		return nil, err
+	}
+	if t.stops == nil {
+		t.stops = make(map[*ps.Dict][]Stop)
+	}
+	t.stops[procInfo] = stops
+	return stops, nil
+}
+
+// readLoci realizes procInfo's /loci array and reads its stopping
+// points.
+func (t *Table) readLoci(procInfo *ps.Dict) ([]Stop, error) {
+	v, ok := procInfo.GetName("loci")
+	if !ok {
+		return nil, fmt.Errorf("symtab: no /loci")
+	}
+	if v.Kind == ps.KString {
+		var err error
+		if v, err = t.run(v.S); err != nil {
+			return nil, err
+		}
+		if procInfo.Frozen() {
+			ps.Freeze(v)
+		}
 	}
 	if v.Kind != ps.KArray {
 		return nil, fmt.Errorf("symtab: /loci is %s", v.TypeName())
@@ -405,7 +478,7 @@ func (t *Table) Loci(procInfo *ps.Dict) ([]Stop, error) {
 		if el.Kind != ps.KDict {
 			continue
 		}
-		s := Stop{Elem: el.D}
+		var s Stop
 		if x, ok := el.D.GetName("index"); ok {
 			s.Index = int(x.I)
 		}
@@ -492,7 +565,7 @@ func (t *Table) ResolveAt(procEntryName string, stop *Stop, id string) (Entry, e
 				var sd *ps.Dict
 				if sv.Kind == ps.KDict {
 					sd = sv.D
-				} else if v2, ok := t.lookup(sv.S); ok && v2.Kind == ps.KDict {
+				} else if v2, ok := t.Env.GetName(sv.S); ok && v2.Kind == ps.KDict {
 					sd = v2.D
 				}
 				if sd != nil {

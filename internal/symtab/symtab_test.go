@@ -180,8 +180,10 @@ func TestValidateCatchesMismatch(t *testing.T) {
 func TestDeferredEntriesAreStringsUntilUsed(t *testing.T) {
 	u := compileFib(t)
 	tbl := loadTable(t, u, true)
-	// Find some entry binding in the environment: it must be a string
-	// before access and a dict afterward (§5's replacement).
+	// Find some entry binding in the environment: it is a string, and
+	// stays one — the table is read-only — while access realizes it
+	// once into a frozen dictionary every reader shares (§5's
+	// replacement, kept in the table's memo).
 	var name string
 	for _, k := range tbl.Env.Keys() {
 		if v, _ := tbl.Env.Get(k); v.Kind == ps.KString && strings.HasPrefix(ps.Cvs(k), "U0S") && !strings.Contains(ps.Cvs(k), ".") {
@@ -192,12 +194,19 @@ func TestDeferredEntriesAreStringsUntilUsed(t *testing.T) {
 	if name == "" {
 		t.Fatal("no deferred entries found")
 	}
-	if _, err := tbl.EntryOf(name); err != nil {
+	d, err := tbl.EntryOf(name)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := tbl.Env.GetName(name)
-	if v.Kind != ps.KDict {
-		t.Fatalf("entry %s not replaced after access: %s", name, v.TypeName())
+	if !d.Frozen() {
+		t.Errorf("realized entry %s is writable", name)
+	}
+	if v, _ := tbl.Env.GetName(name); v.Kind != ps.KString {
+		t.Fatalf("entry %s rewritten in the environment: %s", name, v.TypeName())
+	}
+	again, err := tbl.EntryOf(name)
+	if err != nil || again != d {
+		t.Fatalf("entry %s realized twice (%p then %p, %v)", name, d, again, err)
 	}
 }
 
@@ -311,5 +320,79 @@ func TestEntryRefForms(t *testing.T) {
 	// Anything else is a malformed table.
 	if _, err := tbl.EntryRef(ps.Int(7)); err == nil {
 		t.Fatal("EntryRef accepted an int")
+	}
+}
+
+// linearProcContaining is the reference ProcContaining: a scan for the
+// greatest address at or below pc, the last listed winning ties.
+func linearProcContaining(procs []ProcAddr, pc uint32) (ProcAddr, bool) {
+	best := -1
+	for i, p := range procs {
+		if p.Addr <= pc && (best < 0 || p.Addr >= procs[best].Addr) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return ProcAddr{}, false
+	}
+	return procs[best], true
+}
+
+// TestProcContainingMatchesLinearScan checks the binary search against
+// the linear scan on proctables with ties, out-of-order entries and
+// malformed pairs, at every pc near every procedure and at the ends of
+// the address space.
+func TestProcContainingMatchesLinearScan(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		proctable string
+		malformed bool
+	}{
+		{"empty", "", false},
+		{"one", "16#100 (_a)", false},
+		{"sorted", "16#100 (_a) 16#200 (_b) 16#300 (_c)", false},
+		{"ties", "16#100 (_a) 16#200 (_b1) 16#200 (_b2) 16#200 (_b3) 16#300 (_c)", false},
+		{"tie at the start", "16#100 (_a1) 16#100 (_a2) 16#200 (_b)", false},
+		{"unsorted", "16#300 (_c) 16#100 (_a) 16#200 (_b) 16#100 (_a2)", false},
+		{"address zero and top", "0 (_zero) 16#ffffffff (_top)", false},
+		{"odd count", "16#100 (_a) 16#200", true},
+		{"name slot holds an int", "16#100 (_a) 16#200 42", true},
+		{"address slot holds a name", "16#100 (_a) /x (_b)", true},
+	} {
+		tbl, err := Load(ps.New(), "<< /symtab << >> /proctable [ "+c.proctable+" ] >>")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		procs, perr := tbl.ProcTable()
+		if (perr != nil) != c.malformed {
+			t.Fatalf("%s: ProcTable error = %v", c.name, perr)
+		}
+		pcs := []uint32{0, 1, 0xfffffffe, 0xffffffff}
+		for _, p := range procs {
+			pcs = append(pcs, p.Addr-1, p.Addr, p.Addr+1)
+		}
+		for _, pc := range pcs {
+			want, wantOK := linearProcContaining(procs, pc)
+			if perr != nil {
+				want, wantOK = ProcAddr{}, false
+			}
+			if got, ok := tbl.ProcContaining(pc); got != want || ok != wantOK {
+				t.Errorf("%s: ProcContaining(%#x) = %v %v, want %v %v", c.name, pc, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestProcContainingAllocatesNothing pins the cost of the lookup that
+// names every frame of every stack walk.
+func TestProcContainingAllocatesNothing(t *testing.T) {
+	tbl := loadTable(t, compileFib(t), true)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := tbl.ProcContaining(0x150); !ok {
+			t.Fatal("0x150 is in no procedure")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ProcContaining makes %.0f allocations, want 0", allocs)
 	}
 }
