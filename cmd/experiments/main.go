@@ -197,7 +197,9 @@ func runT2(bigLines int) {
 		n.Start()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		check(err)
-		go n.ServeListener(l)
+		srv := nub.NewService()
+		srv.SetLegacyTarget(n)
+		go srv.ServeListener(l)
 		d, err := core.New(nil)
 		check(err)
 		client, conn, err := nub.Dial(l.Addr().String())
@@ -207,7 +209,7 @@ func runT2(bigLines int) {
 		_, err = d.AttachTable("net", client, tbl)
 		check(err)
 		conn.Close()
-		l.Close()
+		srv.Shutdown()
 	}))
 
 	// The dbx/gdb baseline: binary stabs parse much faster (§7 shows

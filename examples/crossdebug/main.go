@@ -60,7 +60,10 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	go n2.ServeListener(l)
+	srv := nub.NewService()
+	srv.SetLegacyTarget(n2)
+	go srv.ServeListener(l)
+	defer srv.Shutdown()
 	fmt.Fprintf(w, "vax target's nub listening on %s\n", l.Addr())
 	c2, conn2, err := nub.Dial(l.Addr().String())
 	if err != nil {

@@ -54,7 +54,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go n.ServeListener(l)
+	srv := nub.NewService()
+	srv.SetLegacyTarget(n)
+	go srv.ServeListener(l)
 	fmt.Printf("nub waiting on %s; attaching...\n\n", l.Addr())
 
 	d, err := core.New(os.Stdout)

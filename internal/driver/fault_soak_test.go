@@ -51,7 +51,9 @@ func soakTranscript(t *testing.T, archName string, seed int64) (string, nub.Stat
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go n.ServeListener(l)
+	srv := nub.NewService()
+	srv.SetLegacyTarget(n)
+	go srv.ServeListener(l)
 
 	inj := faultrw.New(seed, faultrw.Config{
 		DropEvery:      1500,

@@ -167,8 +167,10 @@ func TestHostileSoak(t *testing.T) {
 	}
 	proc2 := machine.New(prog.Arch, prog.Image.Text, prog.Image.Data, prog.Image.Entry)
 	n := nub.New(proc2)
-	n.ReadTimeout = 250 * time.Millisecond
 	n.Start()
+	srv := nub.NewService()
+	srv.ReadTimeout = 250 * time.Millisecond
+	srv.SetLegacyTarget(n)
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +181,7 @@ func TestHostileSoak(t *testing.T) {
 		TruncateWrites: true,
 		ChunkWrites:    true,
 	})
-	go n.ServeListener(hostileListener{Listener: inner, inj: inj})
+	go srv.ServeListener(hostileListener{Listener: inner, inj: inj})
 	addr := inner.Addr().String()
 
 	var liveConn net.Conn

@@ -83,8 +83,7 @@ func (c *memCache) insert(space amem.Space, addr uint32, data []byte) {
 	}
 	merged = append(merged, nr)
 	sort.Slice(merged, func(i, j int) bool { return merged[i].addr < merged[j].addr })
-	c.spaces[space] = merged
-	c.recount()
+	c.set(space, merged)
 }
 
 // patch applies a store to the cached copy: ranges fully covering the
@@ -108,8 +107,7 @@ func (c *memCache) patch(space amem.Space, addr uint32, data []byte) {
 			// partial overlap: evict
 		}
 	}
-	c.spaces[space] = kept
-	c.recount()
+	c.set(space, kept)
 }
 
 // invalidate evicts every range overlapping [addr, addr+n).
@@ -122,8 +120,7 @@ func (c *memCache) invalidate(space amem.Space, addr uint32, n int) {
 			kept = append(kept, r)
 		}
 	}
-	c.spaces[space] = kept
-	c.recount()
+	c.set(space, kept)
 }
 
 // reset drops everything — called when the target resumes.
@@ -132,14 +129,18 @@ func (c *memCache) reset() {
 	c.bytes = 0
 }
 
-func (c *memCache) recount() {
-	c.bytes = 0
-	//ldb:allow detstate commutative sum: the total is the same in any iteration order
-	for _, ranges := range c.spaces {
-		for _, r := range ranges {
-			c.bytes += len(r.data)
-		}
+// set replaces one space's ranges, keeping the payload total current.
+func (c *memCache) set(space amem.Space, ranges []cacheRange) {
+	c.bytes += payload(ranges) - payload(c.spaces[space])
+	c.spaces[space] = ranges
+}
+
+func payload(ranges []cacheRange) int {
+	n := 0
+	for _, r := range ranges {
+		n += len(r.data)
 	}
+	return n
 }
 
 // serveInt decodes a cached integer in the target's byte order. Sizes

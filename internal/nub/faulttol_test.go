@@ -283,7 +283,9 @@ func liveNub(t *testing.T) (n *Nub, addr string, stop func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go n.ServeListener(l)
+	s := NewService()
+	s.SetLegacyTarget(n)
+	go s.ServeListener(l)
 	return n, l.Addr().String(), func() { l.Close() }
 }
 
@@ -396,7 +398,9 @@ func TestReconnectOutlastsListenerRestart(t *testing.T) {
 			t.Errorf("re-listen on %s: %v", addr, err)
 			return
 		}
-		go n.ServeListener(l)
+		s := NewService()
+		s.SetLegacyTarget(n)
+		go s.ServeListener(l)
 	}()
 	if _, err := c.FetchInt(amem.Data, machine.DataBase, 4); err != nil {
 		t.Fatalf("fetch across a listener restart: %v", err)
@@ -424,7 +428,9 @@ func TestWelcomeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lB.Close()
-	go nB.ServeListener(lB)
+	sB := NewService()
+	sB.SetLegacyTarget(nB)
+	go sB.ServeListener(lB)
 
 	c, conn, err := Dial(addrA)
 	if err != nil {

@@ -14,11 +14,12 @@ import (
 )
 
 // FuzzServe feeds arbitrary bytes to a serving nub over an in-memory
-// connection. The contract under fuzzing: for any input the nub either
-// replies or closes the connection — it never panics, never hangs, and
-// never allocates a peer-declared amount of memory. The target program
-// exits quickly, so inputs that happen to decode as MContinue finish
-// fast too.
+// connection, through the debug service's connection loop with the nub
+// as its only target. The contract under fuzzing: for any input the nub
+// either replies or closes the connection — it never panics, never
+// hangs, and never allocates a peer-declared amount of memory. The
+// target program exits quickly, so inputs that happen to decode as
+// MContinue finish fast too.
 func FuzzServe(f *testing.F) {
 	a := mips.Little
 	as := mips.NewAsm(a)
@@ -32,7 +33,8 @@ func FuzzServe(f *testing.F) {
 	}
 
 	// Seeds: nothing, a well-formed session, a truncated header, an
-	// oversize frame, and plain junk.
+	// oversize frame, plain junk, and the session kinds a service with
+	// no registered programs hands to its nub to refuse.
 	f.Add([]byte{})
 	var valid bytes.Buffer
 	_ = WriteMsg(&valid, &Msg{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase, Size: 4})
@@ -47,20 +49,29 @@ func FuzzServe(f *testing.F) {
 	ob[27], ob[28], ob[29], ob[30] = 0xff, 0xff, 0xff, 0x7f
 	f.Add(ob)
 	f.Add([]byte{0xff, 0x00, 0x41, 0x41, 0x41})
+	var sessionKinds bytes.Buffer
+	_ = WriteMsg(&sessionKinds, &Msg{Kind: MOpenSession, Data: []byte("mips")})
+	_ = WriteMsg(&sessionKinds, &Msg{Kind: MAttachSession, Val: 1})
+	_ = WriteMsg(&sessionKinds, &Msg{Kind: MServiceStats})
+	_ = WriteMsg(&sessionKinds, &Msg{Kind: MCloseSession, Val: 1})
+	_ = WriteMsg(&sessionKinds, &Msg{Kind: MFetchInt, Space: byte(amem.Data), Addr: machine.DataBase, Size: 4})
+	f.Add(sessionKinds.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := machine.New(a, code, make([]byte, 64), machine.TextBase)
 		n := New(p)
+		n.Start()
+		s := NewService()
 		// A short deadline so a partial frame at the end of the input
 		// terminates the connection quickly instead of idling out the
 		// fuzz budget.
-		n.ReadTimeout = 200 * time.Millisecond
-		n.Start()
+		s.ReadTimeout = 200 * time.Millisecond
+		s.SetLegacyTarget(n)
 		srv, cli := net.Pipe()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			_ = n.Serve(srv)
+			_ = s.Serve(srv)
 			_ = srv.Close()
 		}()
 		go func() { _, _ = io.Copy(io.Discard, cli) }()

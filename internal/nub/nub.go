@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"ldb/internal/amem"
 	"ldb/internal/arch"
@@ -22,10 +20,6 @@ const (
 	NubDataBase = 0x0ffe0000
 	nubDataSize = 4096
 )
-
-// DefaultServeTimeout is how long the serving nub waits for the rest of
-// a frame once its first byte arrives. Nub.ReadTimeout overrides it.
-const DefaultServeTimeout = 30 * time.Second
 
 // Nub controls one target process and serves the debugger protocol.
 // The guiding principle is to keep it as small as possible (§4.2);
@@ -44,27 +38,14 @@ type Nub struct {
 	// own goroutine while tests and debuggers read the counters.
 	Stats Stats
 
-	// ReadTimeout bounds how long the nub waits for the REST of a frame
-	// once its first byte has arrived (the idle wait between requests is
-	// unbounded — a debugger may sit at its prompt forever). A peer that
-	// starts a frame and trickles it cannot hold the nub hostage. Zero
-	// means DefaultServeTimeout; negative disables the deadline.
-	ReadTimeout time.Duration
-
 	mu      sync.Mutex //ldb:lock nub.mu 20
 	pending *Msg       // event to (re)send when a connection arrives
 	dead    bool
+	// recovered latches that a dispatch recovered from a panic; the
+	// request loop clears it before each request and rolls a
+	// checkpointed session back when it is set.
+	recovered bool
 
-	// lnMu guards the listener fields separately from mu, which Serve
-	// holds for the whole of a connection: Shutdown must be callable
-	// while a request is being serviced.
-	lnMu     sync.Mutex //ldb:lock nub.lnMu 41
-	listener net.Listener
-	closing  bool
-	// serving is the connection Serve is currently blocked on, if any;
-	// Shutdown expires its read deadline so an idle debugger connection
-	// drains instead of pinning the serve goroutine.
-	serving net.Conn
 	// planted records breakpoint stores (§7.1's protocol enrichment):
 	// address → the instruction bytes the trap overwrote, so the nub
 	// can report them to a new debugger if the old one is lost.
@@ -163,6 +144,7 @@ func (n *Nub) resumeAndLatch(resume func()) {
 	defer func() {
 		if r := recover(); r != nil {
 			n.Stats.RecoveredPanics.Add(1)
+			n.recovered = true
 			n.pending = &Msg{Kind: MError, Data: []byte(fmt.Sprintf("nub: recovered from panic: %v", r))}
 		}
 	}()
@@ -361,6 +343,7 @@ func (n *Nub) safeHandle(m *Msg) (rep *Msg) {
 	defer func() {
 		if r := recover(); r != nil {
 			n.Stats.RecoveredPanics.Add(1)
+			n.recovered = true
 			rep = &Msg{Kind: MError, Data: []byte(fmt.Sprintf("nub: recovered from panic: %v", r))}
 		}
 	}()
@@ -602,65 +585,46 @@ func (n *Nub) handleBatch(m *Msg) *Msg {
 
 // Serve handles one debugger connection: it announces the target,
 // replays the pending event, then services requests until told to
-// continue (which runs the target to its next event), to terminate, or
-// to break the connection. On connection loss it returns with target
-// state preserved, ready for a new Serve.
+// terminate or detach, or until the connection breaks. On connection
+// loss it returns with target state preserved, ready for a new Serve.
+// The requests run through the debug service's request loop with this
+// nub bound, so a nub and a service share one loop, one read deadline
+// and one handshake.
 func (n *Nub) Serve(conn io.ReadWriter) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.welcomeLocked(conn, 0); err != nil {
+	if err := n.announce(conn, MWelcome, WelcomeBatch); err != nil {
 		return err
 	}
-	for {
-		req, err := n.readRequest(conn)
-		if err != nil {
-			if errors.Is(err, errOversize) {
-				// An attacker-chosen payload length. Reply, then close:
-				// the stream cannot be resynced past the bogus frame, and
-				// draining it would read however many bytes the peer
-				// declared.
-				n.Stats.OversizeRejects.Add(1)
-				_ = WriteMsg(conn, &Msg{Kind: MError, Data: []byte(err.Error())})
-				n.Stats.MsgsSent.Add(1)
-			}
-			return err // connection broken; state preserved
-		}
-		done, err := n.serveOneLocked(conn, req)
-		if done || err != nil {
-			return err
-		}
-	}
+	_, err := (&Service{}).serveRequests(conn, &session{nub: n}, false)
+	return err
 }
 
-// serveWelcome runs the handshake only — Serve's prologue, factored out
-// so the debug service can bind a connection to a session (welcome with
-// extra capability bits, then request-by-request dispatch through
-// serveOneLocked) without holding the nub for the connection's
-// lifetime.
-func (n *Nub) serveWelcome(conn io.ReadWriter, extra uint64) error {
+// errTerminated refuses a connection to a target that was killed.
+var errTerminated = errors.New("nub: target terminated")
+
+// announce binds a connection to the target on the wire: an MWelcome
+// on arrival, with val its capability bits (a LegacyProtocol nub
+// advertises none), or an MSession reply on a session rebind, with val
+// the session id, carrying the context address and size and the
+// architecture name; then the pending stop event, running the target to
+// its first stop if nothing is latched yet. A terminated target is
+// refused before anything is written.
+func (n *Nub) announce(conn io.Writer, kind MsgKind, val uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.welcomeLocked(conn, extra)
-}
-
-// welcomeLocked announces the target and replays the pending stop
-// event, running the target to its first stop if nothing is latched
-// yet. extra ORs additional capability bits into the welcome's Val (the
-// debug service advertises WelcomeSessions). Callers hold n.mu.
-func (n *Nub) welcomeLocked(conn io.ReadWriter, extra uint64) error {
 	if n.dead {
-		return fmt.Errorf("nub: target terminated")
+		return errTerminated
 	}
-	welcome := &Msg{
-		Kind: MWelcome,
+	if kind == MWelcome && n.LegacyProtocol {
+		val = 0
+	}
+	hdr := &Msg{
+		Kind: kind,
+		Val:  val,
 		Addr: n.ctxAddr,
 		Size: uint32(n.P.A.Context().Size),
 		Data: []byte(n.P.A.Name()),
 	}
-	if !n.LegacyProtocol {
-		welcome.Val |= WelcomeBatch | extra
-	}
-	if err := WriteMsg(conn, welcome); err != nil {
+	if err := WriteMsg(conn, hdr); err != nil {
 		return err
 	}
 	n.Stats.MsgsSent.Add(1)
@@ -679,7 +643,7 @@ func (n *Nub) welcomeLocked(conn io.ReadWriter, extra uint64) error {
 // may touch — and everything else through the validate-and-contain
 // dispatch path. done reports that the connection is finished (the
 // target was killed or the debugger detached). Callers hold n.mu.
-func (n *Nub) serveOneLocked(conn io.ReadWriter, req *Msg) (done bool, err error) {
+func (n *Nub) serveOneLocked(conn io.Writer, req *Msg) (done bool, err error) {
 	n.Stats.MsgsReceived.Add(1)
 	n.Stats.RoundTrips.Add(1)
 	switch req.Kind {
@@ -735,101 +699,4 @@ func (n *Nub) serveOneLocked(conn io.ReadWriter, req *Msg) (done bool, err error
 		n.Stats.MsgsSent.Add(1)
 	}
 	return false, nil
-}
-
-// readRequest reads one request from conn under the two-phase server
-// read deadline: the idle wait for a frame's first byte is unbounded —
-// a debugger may sit at its prompt for hours — but once a frame has
-// started, the rest must arrive within ReadTimeout, so a peer that
-// opens a frame and trickles bytes (slowloris) is dropped instead of
-// pinning the nub forever. Connections without deadline support (in-
-// memory pipes wrapped by fault injectors) are served without the
-// defence.
-func (n *Nub) readRequest(conn io.ReadWriter) (*Msg, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, err
-	}
-	timeout := n.ReadTimeout
-	if timeout == 0 {
-		timeout = DefaultServeTimeout
-	}
-	type deadliner interface{ SetReadDeadline(time.Time) error }
-	d, ok := conn.(deadliner)
-	armed := ok && timeout > 0 && d.SetReadDeadline(time.Now().Add(timeout)) == nil
-	m, err := readMsgRest(first[0], conn)
-	if armed {
-		_ = d.SetReadDeadline(time.Time{})
-		if err != nil && isTimeout(err) {
-			n.Stats.SlowReads.Add(1)
-			err = fmt.Errorf("nub: dropped slow read after %v: %w", timeout, err)
-		}
-	}
-	return m, err
-}
-
-// ServeListener accepts connections one at a time, preserving target
-// state between them, until the target is killed, the listener closes,
-// or Shutdown is called. This is how a process waits on the network for
-// a debugger.
-func (n *Nub) ServeListener(l net.Listener) {
-	n.lnMu.Lock()
-	n.listener = l
-	closing := n.closing
-	n.lnMu.Unlock()
-	if closing {
-		_ = l.Close()
-		return
-	}
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		n.lnMu.Lock()
-		if n.closing {
-			// Shutdown raced the accept: drop the connection instead of
-			// serving past the drain.
-			n.lnMu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		n.serving = conn
-		n.lnMu.Unlock()
-		err = n.Serve(conn)
-		_ = conn.Close()
-		n.lnMu.Lock()
-		n.serving = nil
-		closing := n.closing
-		n.lnMu.Unlock()
-		n.mu.Lock()
-		dead := n.dead
-		n.mu.Unlock()
-		if closing || (err == nil && dead) {
-			return
-		}
-	}
-}
-
-// Shutdown stops ServeListener gracefully: a blocked Accept is
-// unblocked by closing the listener, a connection being served finishes
-// its in-flight request, an *idle* connection — a debugger sitting at
-// its prompt, whose unbounded first-byte wait would otherwise pin the
-// serve goroutine forever — is unblocked by expiring its read deadline,
-// and no further connections are accepted. Target state is preserved —
-// shutdown severs the debugger endpoint, it does not kill the target.
-func (n *Nub) Shutdown() {
-	n.lnMu.Lock()
-	n.closing = true
-	l := n.listener
-	serving := n.serving
-	n.lnMu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	if d, ok := serving.(interface{ SetReadDeadline(time.Time) error }); ok {
-		// The expired deadline makes the idle readRequest return a
-		// timeout error; the in-flight reply, if any, still writes.
-		_ = d.SetReadDeadline(time.Now())
-	}
 }

@@ -331,7 +331,9 @@ func TestDetachAndReconnectPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go n.ServeListener(l)
+	s := NewService()
+	s.SetLegacyTarget(n)
+	go s.ServeListener(l)
 
 	c1, conn1, err := Dial(l.Addr().String())
 	if err != nil {
@@ -377,7 +379,9 @@ func TestAbruptDisconnectPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go n.ServeListener(l)
+	s := NewService()
+	s.SetLegacyTarget(n)
+	go s.ServeListener(l)
 	// "Crash": connect and drop without detach.
 	c1, conn1, err := Dial(l.Addr().String())
 	if err != nil {

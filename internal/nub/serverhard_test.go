@@ -22,12 +22,14 @@ func rawServe(t *testing.T, timeout time.Duration) (*Nub, net.Conn, func()) {
 	a := mips.Little
 	p := machine.New(a, testProgram(t, a), make([]byte, 64), machine.TextBase)
 	n := New(p)
-	n.ReadTimeout = timeout
 	n.Start()
+	s := NewService()
+	s.ReadTimeout = timeout
+	s.SetLegacyTarget(n)
 	srv, cli := net.Pipe()
 	done := make(chan struct{})
 	go func() {
-		_ = n.Serve(srv)
+		_ = s.Serve(srv)
 		_ = srv.Close()
 		close(done)
 	}()
@@ -378,13 +380,15 @@ func TestShutdownUnblocksAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewService()
+	s.SetLegacyTarget(n)
 	done := make(chan struct{})
 	go func() {
-		n.ServeListener(l)
+		s.ServeListener(l)
 		close(done)
 	}()
 	time.Sleep(20 * time.Millisecond) // let it park in Accept
-	n.Shutdown()
+	s.Shutdown()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -410,9 +414,11 @@ func TestShutdownGraceful(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewService()
+	s.SetLegacyTarget(n)
 	done := make(chan struct{})
 	go func() {
-		n.ServeListener(l)
+		s.ServeListener(l)
 		close(done)
 	}()
 	c, _, err := Dial(l.Addr().String())
@@ -425,7 +431,7 @@ func TestShutdownGraceful(t *testing.T) {
 	if _, err := c.FetchInt(amem.Data, machine.DataBase, 4); err != nil {
 		t.Fatalf("fetch before shutdown: %v", err)
 	}
-	n.Shutdown()
+	s.Shutdown()
 	// The connection is idle (the client sits at its prompt), so the
 	// drain closes it: ServeListener exits without a detach.
 	select {

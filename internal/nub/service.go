@@ -19,10 +19,14 @@
 // global mutex — only the bound session's own.
 //
 // Legacy fallback: a service given a legacy target (SetLegacyTarget)
-// greets each connection with that target's welcome, exactly as a
-// single-target nub would, so clients that ignore the sessions bit
-// debug it unchanged; session-aware clients may still open pool
-// sessions on the same connection.
+// greets each connection with that target's welcome, so clients that
+// ignore the sessions bit debug it unchanged; session-aware clients may
+// still open pool sessions on the same connection. A service with a
+// legacy target and no registered programs is a single-target nub on
+// the wire: its welcome carries no sessions bit, the session kinds go
+// to the target's nub (which refuses them), a connection arriving while
+// the target is bound waits for it, and a terminated target refuses
+// connections. Nub.Serve is exactly that service on one connection.
 //
 // Sessions are crash-only. Every pooled session auto-checkpoints at a
 // configurable instruction interval and carries a compact log of the
@@ -59,6 +63,11 @@ import (
 // DefaultMaxSessions bounds the target pool when Service.MaxSessions is
 // unset.
 const DefaultMaxSessions = 256
+
+// DefaultServeTimeout is how long a connection may take to deliver the
+// rest of a frame once its first byte arrives. Service.ReadTimeout
+// overrides it.
+const DefaultServeTimeout = 30 * time.Second
 
 // defaultAttachWait bounds how long an attach waits for a session whose
 // previous connection has not yet noticed it is dead (a reconnecting
@@ -106,20 +115,18 @@ type Service struct {
 	// recently used idle session, and fails when none is idle. Zero
 	// means DefaultMaxSessions.
 	MaxSessions int
-	// ReadTimeout is the per-connection slowloris bound, as Nub.ReadTimeout.
+	// ReadTimeout bounds how long a connection may take to deliver the
+	// REST of a frame once its first byte has arrived (the idle wait
+	// between requests is unbounded — a debugger may sit at its prompt
+	// forever). A peer that starts a frame and trickles it cannot hold a
+	// session hostage. Zero means DefaultServeTimeout; negative disables
+	// the deadline.
 	ReadTimeout time.Duration
-	// AttachWait bounds how long MAttachSession waits for a busy
-	// session to come free. Zero means defaultAttachWait.
-	AttachWait time.Duration
 	// CheckpointInterval paces per-session auto-checkpoints, in
 	// executed instructions. Zero means
 	// machine.DefaultCheckpointInterval; negative disables checkpoints
 	// entirely — and with them rollback, passivation, and resurrection.
 	CheckpointInterval int64
-	// MaxPassivated bounds the in-service store of passivated session
-	// checkpoints; the oldest record is dropped past it. Zero means
-	// DefaultMaxPassivated.
-	MaxPassivated int
 	// PassivateDir, when set, spills passivated checkpoints to disk
 	// (one session-<id>.ck file each), so a session can outlive both
 	// the pool and the bounded in-memory store.
@@ -162,7 +169,7 @@ type Service struct {
 	lnMu     sync.Mutex //ldb:lock service.lnMu 40
 	listener net.Listener
 	closing  bool
-	conns    map[net.Conn]struct{}
+	conns    map[*drainConn]struct{}
 	wg       sync.WaitGroup
 	closeCh  chan struct{}
 }
@@ -182,8 +189,8 @@ type passiveRec struct {
 	blob []byte
 }
 
-// DefaultMaxPassivated bounds the passivated-checkpoint store when
-// Service.MaxPassivated is unset.
+// DefaultMaxPassivated bounds the in-service store of passivated
+// session checkpoints; the oldest record is dropped past it.
 const DefaultMaxPassivated = 64
 
 // maxCkLog bounds the replay log between checkpoints: past it the
@@ -197,7 +204,7 @@ func NewService() *Service {
 		programs: make(map[string]spawnSpec),
 		sessions: make(map[uint64]*session),
 		passive:  make(map[uint64]*passiveRec),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[*drainConn]struct{}),
 		closeCh:  make(chan struct{}),
 		share:    machine.NewTextCache(),
 	}
@@ -226,12 +233,14 @@ func (s *Service) SetLegacyTarget(n *Nub) {
 // embedders that pre-publish programs).
 func (s *Service) SharedCache() *machine.TextCache { return s.share }
 
-// Serve handles one connection to the debug service. The function is
-// deliberately named Serve: the wireproto analyzer accepts a dispatch
-// arm for a request kind only inside a function by that name, which
-// keeps the session kinds' dispatch visible to the kind-table totality
-// proof.
-func (s *Service) Serve(conn net.Conn) (err error) {
+// Serve handles one connection to the debug service: it binds the
+// connection to the legacy target or greets it from the lobby, then
+// runs the request loop, serving the session kinds itself whenever the
+// loop hands one back. The function is deliberately named Serve: the
+// wireproto analyzer accepts a dispatch arm for a request kind only
+// inside a function by that name, which keeps the session kinds'
+// dispatch visible to the kind-table totality proof.
+func (s *Service) Serve(conn io.ReadWriter) (err error) {
 	defer func() {
 		// Per-session containment: a panic on this connection's
 		// goroutine must not take down the service or any other
@@ -252,25 +261,42 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 	}
 	defer func() { unbind() }()
 
+	// With no programs to open, the service is a single-target nub.
+	s.mu.Lock()
+	single := s.legacy != nil && len(s.programs) == 0
+	s.mu.Unlock()
 	if leg := s.legacy; leg != nil {
-		select {
-		case <-leg.busy:
-			leg.nub.mu.Lock()
-			dead := leg.nub.dead
-			leg.nub.mu.Unlock()
-			if dead {
-				// The legacy target was killed; fall back to the lobby
-				// so session-aware clients can still open pool targets.
-				leg.busy <- struct{}{}
-			} else {
+		if single {
+			// Nowhere else to go: wait for the target's current debugger
+			// to let go, as a classic nub's next connection would.
+			select {
+			case <-leg.busy:
 				sess = leg
-				if err := leg.nub.serveWelcome(conn, WelcomeSessions); err != nil {
-					return err
-				}
+			case <-s.closeCh:
+				return errShutdown
 			}
-		default:
-			// The legacy target is bound to another live connection;
-			// this one lands in the lobby instead of queueing behind it.
+		} else {
+			select {
+			case <-leg.busy:
+				sess = leg
+			default:
+				// The legacy target is bound to another live connection;
+				// this one lands in the lobby instead of queueing behind it.
+			}
+		}
+	}
+	if sess != nil {
+		caps := uint64(WelcomeBatch)
+		if !single {
+			caps |= WelcomeSessions
+		}
+		switch err := sess.nub.announce(conn, MWelcome, caps); {
+		case errors.Is(err, errTerminated) && !single:
+			// The legacy target was killed; fall back to the lobby so
+			// session-aware clients can still open pool targets.
+			unbind()
+		case err != nil:
+			return err
 		}
 	}
 	if sess == nil {
@@ -283,50 +309,30 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 	}
 
 	for {
-		req, rerr := s.readRequest(conn, sess)
-		if rerr != nil {
-			if errors.Is(rerr, errOversize) {
-				if sess != nil {
-					sess.nub.Stats.OversizeRejects.Add(1)
-				}
-				_ = WriteMsg(conn, &Msg{Kind: MError, Data: []byte(rerr.Error())})
-			}
-			return rerr // connection broken; session state preserved
+		req, err := s.serveRequests(conn, sess, !single)
+		if err != nil {
+			return err // connection broken; session state preserved
 		}
 		switch req.Kind {
-		case MOpenSession:
+		case MOpenSession, MAttachSession:
 			unbind()
-			ns, rep := s.openSession(string(req.Data))
+			var rep *Msg
+			if req.Kind == MOpenSession {
+				sess, rep = s.openSession(string(req.Data))
+			} else {
+				sess, rep = s.attachSession(req.Val)
+			}
 			if rep != nil {
-				if err := WriteMsg(conn, rep); err != nil {
-					return err
-				}
-				continue
-			}
-			sess = ns
-			if err := s.announce(conn, sess); err != nil {
-				return err
-			}
-		case MAttachSession:
-			unbind()
-			ns, rep := s.attachSession(req.Val)
-			if rep != nil {
-				if err := WriteMsg(conn, rep); err != nil {
-					return err
-				}
-				continue
-			}
-			sess = ns
-			if err := s.announce(conn, sess); err != nil {
-				return err
+				err = WriteMsg(conn, rep)
+			} else {
+				err = sess.nub.announce(conn, MSession, sess.id)
 			}
 		case MCloseSession:
 			// Idempotent by design: close means "make the session not
 			// exist", and if it already does not — unknown id, already
 			// closed, or passivated (Val names it) — the postcondition
-			// holds and the answer is a clean MOK. A stored checkpoint
-			// is dropped either way, so a closed session cannot
-			// resurrect.
+			// holds and the answer is a clean MOK. A stored checkpoint is
+			// dropped either way, so a closed session cannot resurrect.
 			if sess != nil && sess.id != 0 {
 				id := sess.id
 				s.kill(sess)
@@ -336,74 +342,128 @@ func (s *Service) Serve(conn net.Conn) (err error) {
 			} else {
 				s.dropPassivated(req.Val)
 			}
-			if err := WriteMsg(conn, &Msg{Kind: MOK}); err != nil {
-				return err
-			}
+			err = WriteMsg(conn, &Msg{Kind: MOK})
 		case MServiceStats:
-			if err := WriteMsg(conn, s.statsReply(sess)); err != nil {
-				return err
-			}
+			err = WriteMsg(conn, s.statsReply(sess))
 		default:
-			if sess == nil {
-				if err := WriteMsg(conn, errMsg("no session bound")); err != nil {
-					return err
-				}
-				continue
+			// MKill or MDetach finished the connection. MKill leaves the
+			// nub dead: drop the session from the pool. MDetach leaves it
+			// stopped for a later attach.
+			if sess.id != 0 && s.dead(sess) {
+				s.remove(sess)
+				sess = nil
 			}
-			n := sess.nub
-			if h := s.FaultHook; h != nil && sess.ck != nil && h(sess.id, n, req) {
-				// Injected crash: the hook may have corrupted target
-				// state through n, exactly as a mid-request panic would.
-				n.Stats.RecoveredPanics.Add(1)
-				s.rollback(sess)
-				if err := WriteMsg(conn, rolledBack(req.Kind)); err != nil {
-					return err
-				}
-				continue
-			}
-			sess.resumeCovered = false
-			// Replies go through a buffer so a dispatch that panicked —
-			// visible as a RecoveredPanics bump — can be answered with a
-			// rollback error instead of its contained-panic reply: the
-			// panic left the target in an unknown state, and nothing of
-			// it may reach the wire.
-			var buf bytes.Buffer
-			n.mu.Lock()
-			panics0 := n.Stats.RecoveredPanics.Load()
-			done, derr := n.serveOneLocked(&buf, req)
-			rolled := sess.ck != nil && !done && n.Stats.RecoveredPanics.Load() != panics0
-			n.mu.Unlock()
-			if derr != nil {
-				return derr
-			}
-			if rolled {
-				s.rollback(sess)
-				if err := WriteMsg(conn, rolledBack(req.Kind)); err != nil {
-					return err
-				}
-				continue
-			}
-			if _, err := conn.Write(buf.Bytes()); err != nil {
-				return err
-			}
-			if done {
-				// MKill leaves the nub dead: drop the session from the
-				// pool. MDetach leaves it stopped for a later attach.
-				if sess.id != 0 && s.dead(sess) {
-					s.remove(sess)
-					sess = nil
-				}
-				return nil
-			}
-			s.logRequest(sess, req)
+			return nil
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// readRequest mirrors Nub.readRequest for the service's connection
-// loop: unbounded idle wait for a frame's first byte, ReadTimeout for
-// the rest. Slow reads are charged to the bound session, if any.
-func (s *Service) readRequest(conn net.Conn, sess *session) (*Msg, error) {
+// serveRequests is the request loop every connection runs — a
+// service's, and a lone nub's through Nub.Serve. It reads requests
+// under the two-phase read deadline and dispatches them to the bound
+// session's nub until the connection breaks or a request is not the
+// target's to serve. That request is returned: MKill or MDetach once
+// served, which finish the connection, or — when sessions is set — a
+// session kind, which the service serves itself. Without sessions the
+// nub gets the session kinds too, and refuses them. With no session
+// bound, the target's requests are refused.
+func (s *Service) serveRequests(conn io.ReadWriter, sess *session, sessions bool) (*Msg, error) {
+	for {
+		req, err := s.readRequest(conn, sess)
+		if err != nil {
+			if errors.Is(err, errOversize) {
+				// An attacker-chosen payload length. Reply, then close:
+				// the stream cannot be resynced past the bogus frame, and
+				// draining it would read however many bytes the peer
+				// declared.
+				_ = WriteMsg(conn, &Msg{Kind: MError, Data: []byte(err.Error())})
+				if sess != nil {
+					sess.nub.Stats.OversizeRejects.Add(1)
+					sess.nub.Stats.MsgsSent.Add(1)
+				}
+			}
+			return nil, err
+		}
+		if sessions && sessionKind(req.Kind) {
+			return req, nil
+		}
+		if sess == nil {
+			if err := WriteMsg(conn, errMsg("no session bound")); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		n := sess.nub
+		if h := s.FaultHook; h != nil && sess.ck != nil && h(sess.id, n, req) {
+			// Injected crash: the hook may have corrupted target state
+			// through n, exactly as a mid-request panic would.
+			n.Stats.RecoveredPanics.Add(1)
+			s.rollback(sess)
+			if err := WriteMsg(conn, rolledBack(req.Kind)); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		sess.resumeCovered = false
+		// A session that can roll back gets its reply through a buffer,
+		// so a dispatch that panicked can be answered with a rollback
+		// error instead of its contained-panic reply: the panic left the
+		// target in an unknown state, and nothing of it may reach the
+		// wire.
+		var buf bytes.Buffer
+		var w io.Writer = conn
+		if sess.ck != nil {
+			w = &buf
+		}
+		n.mu.Lock()
+		n.recovered = false
+		done, err := n.serveOneLocked(w, req)
+		rolled := sess.ck != nil && !done && n.recovered
+		n.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		if rolled {
+			s.rollback(sess)
+			if err := WriteMsg(conn, rolledBack(req.Kind)); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if buf.Len() > 0 {
+			if _, err := conn.Write(buf.Bytes()); err != nil {
+				return nil, err
+			}
+		}
+		if done {
+			return req, nil
+		}
+		s.logRequest(sess, req)
+	}
+}
+
+// sessionKind reports whether k is one of the debug service's own
+// requests.
+func sessionKind(k MsgKind) bool {
+	return k == MOpenSession || k == MAttachSession || k == MCloseSession || k == MServiceStats
+}
+
+// errShutdown ends a connection still waiting for its target when
+// Shutdown began.
+var errShutdown = errors.New("nub: service shutting down")
+
+// readRequest reads one request from conn under the two-phase read
+// deadline: the idle wait for a frame's first byte is unbounded — a
+// debugger may sit at its prompt for hours — but once a frame has
+// started the rest must arrive within ReadTimeout, so a peer that opens
+// a frame and trickles bytes (slowloris) is dropped instead of pinning
+// its session forever. Slow reads are charged to the bound session, if
+// any. Connections without deadline support (in-memory pipes wrapped by
+// fault injectors) are served without the defence.
+func (s *Service) readRequest(conn io.ReadWriter, sess *session) (*Msg, error) {
 	var first [1]byte
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return nil, err
@@ -412,10 +472,11 @@ func (s *Service) readRequest(conn net.Conn, sess *session) (*Msg, error) {
 	if timeout == 0 {
 		timeout = DefaultServeTimeout
 	}
-	armed := timeout > 0 && conn.SetReadDeadline(time.Now().Add(timeout)) == nil
+	d, ok := conn.(interface{ SetReadDeadline(time.Time) error })
+	armed := ok && timeout > 0 && d.SetReadDeadline(time.Now().Add(timeout)) == nil
 	m, err := readMsgRest(first[0], conn)
 	if armed {
-		_ = conn.SetReadDeadline(time.Time{})
+		_ = d.SetReadDeadline(time.Time{})
 		if err != nil && isTimeout(err) {
 			if sess != nil {
 				sess.nub.Stats.SlowReads.Add(1)
@@ -424,33 +485,6 @@ func (s *Service) readRequest(conn net.Conn, sess *session) (*Msg, error) {
 		}
 	}
 	return m, err
-}
-
-// announce sends the MSession reply and the session's pending stop
-// event — the session flavor of the single-target welcome handshake.
-func (s *Service) announce(conn net.Conn, sess *session) error {
-	n := sess.nub
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rep := &Msg{
-		Kind: MSession,
-		Val:  sess.id,
-		Addr: n.ctxAddr,
-		Size: uint32(n.P.A.Context().Size),
-		Data: []byte(n.P.A.Name()),
-	}
-	if err := WriteMsg(conn, rep); err != nil {
-		return err
-	}
-	n.Stats.MsgsSent.Add(1)
-	if n.pending == nil {
-		n.resumeAndLatch(n.runAndLatch)
-	}
-	if err := WriteMsg(conn, n.pending); err != nil {
-		return err
-	}
-	n.Stats.MsgsSent.Add(1)
-	return nil
 }
 
 // openSession spawns the named program into a new session and returns
@@ -545,11 +579,7 @@ func (s *Service) attachSession(id uint64) (*session, *Msg) {
 	if sess == nil {
 		return s.resurrect(id)
 	}
-	wait := s.AttachWait
-	if wait <= 0 {
-		wait = defaultAttachWait
-	}
-	t := time.NewTimer(wait)
+	t := time.NewTimer(defaultAttachWait)
 	defer t.Stop()
 	select {
 	case <-sess.busy:
@@ -621,14 +651,10 @@ func (s *Service) passivate(victim *session) {
 	pend := cloneMsg(n.pending)
 	n.mu.Unlock()
 	blob := encodeCheckpoint(victim.program, ck, pend)
-	max := s.MaxPassivated
-	if max <= 0 {
-		max = DefaultMaxPassivated
-	}
 	s.mu.Lock()
 	s.passiveSeq++
 	s.passive[victim.id] = &passiveRec{seq: s.passiveSeq, blob: blob}
-	for len(s.passive) > max {
+	for len(s.passive) > DefaultMaxPassivated {
 		var oldest *passiveRec
 		var oldestID uint64
 		for id, rec := range s.passive {
@@ -939,8 +965,8 @@ func (s *Service) Sessions() int {
 }
 
 // ServeListener accepts connections until the listener closes or
-// Shutdown is called, serving each on its own goroutine — the
-// concurrent successor of Nub.ServeListener's one-at-a-time loop.
+// Shutdown is called, serving each on its own goroutine. This is how a
+// target — or a pool of them — waits on the network for debuggers.
 func (s *Service) ServeListener(l net.Listener) {
 	s.lnMu.Lock()
 	if s.closing {
@@ -951,14 +977,15 @@ func (s *Service) ServeListener(l net.Listener) {
 	s.listener = l
 	s.lnMu.Unlock()
 	for {
-		conn, err := l.Accept()
+		nc, err := l.Accept()
 		if err != nil {
 			return
 		}
+		conn := &drainConn{Conn: nc}
 		s.lnMu.Lock()
 		if s.closing {
 			s.lnMu.Unlock()
-			_ = conn.Close()
+			_ = nc.Close()
 			return
 		}
 		s.conns[conn] = struct{}{}
@@ -967,7 +994,7 @@ func (s *Service) ServeListener(l net.Listener) {
 		go func() {
 			defer s.wg.Done()
 			_ = s.Serve(conn)
-			_ = conn.Close()
+			_ = nc.Close()
 			s.lnMu.Lock()
 			delete(s.conns, conn)
 			s.lnMu.Unlock()
@@ -975,12 +1002,11 @@ func (s *Service) ServeListener(l net.Listener) {
 	}
 }
 
-// Shutdown drains the service: the listener closes, every idle
-// connection's read deadline is expired so its goroutine unblocks,
-// in-flight requests finish and write their replies, and Shutdown
-// returns only when every connection goroutine has exited. Session
-// state is preserved — shutdown severs the endpoint, it does not kill
-// targets.
+// Shutdown drains the service: the listener closes, every connection
+// is drained so an idle one's goroutine unblocks, in-flight requests
+// finish and write their replies, and Shutdown returns only when every
+// connection goroutine has exited. Session state is preserved —
+// shutdown severs the endpoint, it does not kill targets.
 func (s *Service) Shutdown() {
 	s.lnMu.Lock()
 	if !s.closing {
@@ -989,11 +1015,42 @@ func (s *Service) Shutdown() {
 	}
 	l := s.listener
 	for c := range s.conns {
-		_ = c.SetReadDeadline(time.Now())
+		c.drain()
 	}
 	s.lnMu.Unlock()
 	if l != nil {
 		_ = l.Close()
 	}
 	s.wg.Wait()
+}
+
+// drainConn is an accepted connection that Shutdown can drain: its read
+// deadline expires and stays expired. The request loop resets the
+// deadline after every frame, and a reset landing just after Shutdown
+// expired it would otherwise leave the next idle read unbounded and
+// Shutdown waiting on it forever.
+type drainConn struct {
+	net.Conn
+	mu      sync.Mutex //ldb:lock service.conn 41
+	drained bool
+}
+
+// SetReadDeadline sets the read deadline unless the connection has been
+// drained.
+func (c *drainConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.drained {
+		return nil
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// drain expires the read deadline for good: a blocked read returns now,
+// and every later read fails at once.
+func (c *drainConn) drain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.drained = true
+	_ = c.Conn.SetReadDeadline(time.Now())
 }
