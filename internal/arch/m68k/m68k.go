@@ -93,6 +93,9 @@ func (m *M68k) RetReg() int { return D0 }
 // LinkReg implements arch.Arch: jsr pushes the return address.
 func (m *M68k) LinkReg() int { return -1 }
 
+// ZeroReg implements arch.Arch: the 68020 has no zero register.
+func (m *M68k) ZeroReg() int { return -1 }
+
 // Context implements arch.Arch: d0-d7, a0-a7, pc, flag, then the eight
 // floating registers in 12-byte extended format (the struct sigcontext
 // cannot serve as a context on the 68020, §4.3; this is the "other

@@ -1,15 +1,11 @@
 package mips
 
-import (
-	"math"
-
-	"ldb/internal/arch"
-)
+import "ldb/internal/arch"
 
 // dst maps a destination register for decode time: writes to r0 are
 // architecturally discarded, so they predecode to the -1 slot that
-// arch.RegWrite suppresses. Side effects (load faults, divide checks)
-// still execute.
+// compiles to a no-op (arithmetic) or a Step escape (loads and
+// divides, whose faults must still happen).
 func dst(r int) int {
 	if r == 0 {
 		return -1
@@ -17,11 +13,13 @@ func dst(r int) int {
 	return r
 }
 
-// Decode implements arch.Decoder. All bit fields, sign extensions, and
-// branch/jump targets are extracted here, once; the returned handlers
-// are flat closures that touch only the register file and memory.
-// Anything that would raise SIGILL decodes to nil so the Step fallback
-// reports the fault identically.
+// Decode implements arch.Decoder. The result is pure data: every bit
+// field, sign extension, and branch/jump target is extracted here, once,
+// into a micro-op the machine-independent executor runs inline.
+// Floating point, break, and syscall carry no micro-op and escape to
+// Step, as do loads and divides into r0. Words Step rejects outright
+// decode to nil; invalid function codes inside the floating-point
+// group decode to escapes, and Step raises their SIGILL.
 func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	if off < 0 || off+4 > len(code) || off&3 != 0 {
 		return nil
@@ -31,399 +29,122 @@ func (m *Mips) Decode(code []byte, off int, pc uint32) *arch.DecodedInsn {
 	rs := int(w >> 21 & 31)
 	rt := int(w >> 16 & 31)
 	rd := int(w >> 11 & 31)
-	sh := int(w >> 6 & 31)
-	imm := int32(int16(w))
-	uimm := uint32(uint16(w))
-	next := pc + 4
-	btarget := pc + 4 + uint32(imm)<<2
-
-	mk := func(x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
-		return &arch.DecodedInsn{Len: 4, Exec: x}
-	}
-	// mkT marks control-transfer instructions (branches, jumps, traps,
-	// syscalls) that may not fall through to pc+4; superblock formation
-	// ends a fused run at the first one.
-	mkT := func(x func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault)) *arch.DecodedInsn {
-		return &arch.DecodedInsn{Len: 4, Exec: x, Flags: arch.InsnTerm}
-	}
+	sh := w >> 6 & 31
+	imm := uint32(int32(int16(w)))
+	uimm := w & 0xffff
+	btarget := pc + 4 + imm<<2
+	d := &arch.DecodedInsn{Len: 4}
 
 	switch op {
 	case OpSpecial:
-		fn := w & 63
-		d := dst(rd)
-		switch fn {
+		switch w & 63 {
 		case FnSll:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]<<sh)
-				return next, nil
-			}).AluUop(arch.UopShlI, d, rt, 0, uint32(sh))
+			return d.AluUop(arch.UopShlI, dst(rd), rt, 0, sh)
 		case FnSrl:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]>>sh)
-				return next, nil
-			}).AluUop(arch.UopShrI, d, rt, 0, uint32(sh))
+			return d.AluUop(arch.UopShrI, dst(rd), rt, 0, sh)
 		case FnSra:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, uint32(int32(regs[rt])>>sh))
-				return next, nil
-			}).AluUop(arch.UopSarI, d, rt, 0, uint32(sh))
+			return d.AluUop(arch.UopSarI, dst(rd), rt, 0, sh)
 		case FnSllv:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]<<(regs[rs]&31))
-				return next, nil
-			}).AluUop(arch.UopShl, d, rt, rs, 0)
+			return d.AluUop(arch.UopShl, dst(rd), rt, rs, 0)
 		case FnSrlv:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rt]>>(regs[rs]&31))
-				return next, nil
-			}).AluUop(arch.UopShr, d, rt, rs, 0)
+			return d.AluUop(arch.UopShr, dst(rd), rt, rs, 0)
 		case FnSrav:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, uint32(int32(regs[rt])>>(regs[rs]&31)))
-				return next, nil
-			}).AluUop(arch.UopSar, d, rt, rs, 0)
+			return d.AluUop(arch.UopSar, dst(rd), rt, rs, 0)
 		case FnJr:
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				return regs[rs], nil
-			}).TermUop(arch.UopJmpInd, 0, rs, 0, 0)
+			return d.TermUop(arch.UopJmpInd, 0, rs, 0, 0)
 		case FnJalr:
-			di := mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				t := regs[rs]
-				arch.RegWrite(regs, d, pc+4)
-				return t, nil
-			})
-			if d < 0 { // link discarded: plain indirect jump
-				return di.TermUop(arch.UopJmpInd, 0, rs, 0, 0)
+			if rd == 0 { // link discarded: plain indirect jump
+				return d.TermUop(arch.UopJmpInd, 0, rs, 0, 0)
 			}
-			return di.TermUop(arch.UopJmpIndL, d, rs, 4, 0)
-		case FnSyscall:
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				p.SetPC(pc + 4)
-				return 0, &arch.Fault{Kind: arch.FaultSyscall, Code: int(regs[V0]), PC: pc}
-			})
-		case FnBreak:
-			code := int(w >> 6 & 0xfffff)
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				return 0, &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigTrap, Code: code, PC: pc, Len: 4}
-			})
+			return d.TermUop(arch.UopJmpIndL, rd, rs, 4, 0)
+		case FnSyscall, FnBreak:
+			d.Flags = arch.InsnTerm
+			return d
 		case FnMul:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, uint32(int32(regs[rs])*int32(regs[rt])))
-				return next, nil
-			}).AluUop(arch.UopMul, d, rs, rt, 0)
+			return d.AluUop(arch.UopMul, dst(rd), rs, rt, 0)
 		case FnDiv:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				b := regs[rt]
-				if b == 0 {
-					return 0, &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigFPE, PC: pc}
-				}
-				arch.RegWrite(regs, d, uint32(int32(regs[rs])/int32(b)))
-				return next, nil
-			})
+			return d.FaultUop(arch.UopDiv, dst(rd), rs, rt, 0)
 		case FnRem:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				b := regs[rt]
-				if b == 0 {
-					return 0, &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigFPE, PC: pc}
-				}
-				arch.RegWrite(regs, d, uint32(int32(regs[rs])%int32(b)))
-				return next, nil
-			})
+			return d.FaultUop(arch.UopRem, dst(rd), rs, rt, 0)
 		case FnAddu:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]+regs[rt])
-				return next, nil
-			}).AluUop(arch.UopAdd, d, rs, rt, 0)
+			return d.AluUop(arch.UopAdd, dst(rd), rs, rt, 0)
 		case FnSubu:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]-regs[rt])
-				return next, nil
-			}).AluUop(arch.UopSub, d, rs, rt, 0)
+			return d.AluUop(arch.UopSub, dst(rd), rs, rt, 0)
 		case FnAnd:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]&regs[rt])
-				return next, nil
-			}).AluUop(arch.UopAnd, d, rs, rt, 0)
+			return d.AluUop(arch.UopAnd, dst(rd), rs, rt, 0)
 		case FnOr:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]|regs[rt])
-				return next, nil
-			}).AluUop(arch.UopOr, d, rs, rt, 0)
+			return d.AluUop(arch.UopOr, dst(rd), rs, rt, 0)
 		case FnXor:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, regs[rs]^regs[rt])
-				return next, nil
-			}).AluUop(arch.UopXor, d, rs, rt, 0)
+			return d.AluUop(arch.UopXor, dst(rd), rs, rt, 0)
 		case FnNor:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, ^(regs[rs] | regs[rt]))
-				return next, nil
-			}).AluUop(arch.UopNor, d, rs, rt, 0)
+			return d.AluUop(arch.UopNor, dst(rd), rs, rt, 0)
 		case FnSlt:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, boolFlag(int32(regs[rs]) < int32(regs[rt])))
-				return next, nil
-			}).AluUop(arch.UopSlt, d, rs, rt, 0)
+			return d.AluUop(arch.UopSlt, dst(rd), rs, rt, 0)
 		case FnSltu:
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, boolFlag(regs[rs] < regs[rt]))
-				return next, nil
-			}).AluUop(arch.UopSltu, d, rs, rt, 0)
+			return d.AluUop(arch.UopSltu, dst(rd), rs, rt, 0)
 		}
-		return nil
-	case OpRegimm:
+	case OpRegimm: // r0 reads as zero, so the compare is against rt = 0
 		switch rt {
 		case 0: // bltz
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				if int32(regs[rs]) < 0 {
-					return btarget, nil
-				}
-				return next, nil
-			}).TermUop(arch.UopBlt, 0, rs, 0, btarget)
+			return d.TermUop(arch.UopBlt, 0, rs, 0, btarget)
 		case 1: // bgez
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				if int32(regs[rs]) >= 0 {
-					return btarget, nil
-				}
-				return next, nil
-			}).TermUop(arch.UopBge, 0, rs, 0, btarget)
+			return d.TermUop(arch.UopBge, 0, rs, 0, btarget)
 		}
-		return nil
 	case OpJ:
-		target := pc&0xf0000000 | w<<6>>4
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			return target, nil
-		}).TermUop(arch.UopJmp, 0, 0, 0, target)
+		return d.TermUop(arch.UopJmp, 0, 0, 0, pc&0xf0000000|w<<6>>4)
 	case OpJal:
-		target := pc&0xf0000000 | w<<6>>4
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			regs[RA] = pc + 4
-			return target, nil
-		}).TermUop(arch.UopJmpL, RA, 0, 4, target)
+		return d.TermUop(arch.UopJmpL, RA, 0, 4, pc&0xf0000000|w<<6>>4)
 	case OpBeq:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if regs[rs] == regs[rt] {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBeq, 0, rs, rt, btarget)
+		return d.TermUop(arch.UopBeq, 0, rs, rt, btarget)
 	case OpBne:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if regs[rs] != regs[rt] {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBne, 0, rs, rt, btarget)
+		return d.TermUop(arch.UopBne, 0, rs, rt, btarget)
 	case OpBlez:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if int32(regs[rs]) <= 0 {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBle, 0, rs, 0, btarget)
+		return d.TermUop(arch.UopBle, 0, rs, 0, btarget)
 	case OpBgtz:
-		return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if int32(regs[rs]) > 0 {
-				return btarget, nil
-			}
-			return next, nil
-		}).TermUop(arch.UopBgt, 0, rs, 0, btarget)
+		return d.TermUop(arch.UopBgt, 0, rs, 0, btarget)
 	case OpAddiu:
-		d := dst(rt)
-		simm := uint32(imm)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]+simm)
-			return next, nil
-		}).AluUop(arch.UopAddI, d, rs, 0, simm)
+		return d.AluUop(arch.UopAddI, dst(rt), rs, 0, imm)
 	case OpSlti:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, boolFlag(int32(regs[rs]) < imm))
-			return next, nil
-		}).AluUop(arch.UopSltI, d, rs, 0, uint32(imm))
+		return d.AluUop(arch.UopSltI, dst(rt), rs, 0, imm)
 	case OpAndi:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]&uimm)
-			return next, nil
-		}).AluUop(arch.UopAndI, d, rs, 0, uimm)
+		return d.AluUop(arch.UopAndI, dst(rt), rs, 0, uimm)
 	case OpOri:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]|uimm)
-			return next, nil
-		}).AluUop(arch.UopOrI, d, rs, 0, uimm)
+		return d.AluUop(arch.UopOrI, dst(rt), rs, 0, uimm)
 	case OpXori:
-		d := dst(rt)
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, regs[rs]^uimm)
-			return next, nil
-		}).AluUop(arch.UopXorI, d, rs, 0, uimm)
+		return d.AluUop(arch.UopXorI, dst(rt), rs, 0, uimm)
 	case OpLui:
-		d := dst(rt)
-		v := uimm << 16
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			arch.RegWrite(regs, d, v)
-			return next, nil
-		}).AluUop(arch.UopConst, d, 0, 0, v)
-	case OpLb, OpLbu, OpLh, OpLhu, OpLw:
-		d := dst(rt)
-		simm := uint32(imm)
-		size := 4
-		switch op {
-		case OpLb, OpLbu:
-			size = 1
-		case OpLh, OpLhu:
-			size = 2
-		}
-		signed := 0
-		if op == OpLb {
-			signed = 1
-		} else if op == OpLh {
-			signed = 2
-		}
-		uop := arch.UopLd32
-		switch op {
-		case OpLb:
-			uop = arch.UopLd8S
-		case OpLbu:
-			uop = arch.UopLd8U
-		case OpLh:
-			uop = arch.UopLd16S
-		case OpLhu:
-			uop = arch.UopLd16U
-		}
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			v, f := p.Load(regs[rs]+simm, size)
-			if f != nil {
-				return 0, f
-			}
-			switch signed {
-			case 1:
-				v = uint32(int32(int8(v)))
-			case 2:
-				v = uint32(int32(int16(v)))
-			}
-			arch.RegWrite(regs, d, v)
-			return next, nil
-		}).MemUop(uop, d, rs, 0, simm)
-	case OpSb, OpSh, OpSw:
-		simm := uint32(imm)
-		size := 4
-		if op == OpSb {
-			size = 1
-		} else if op == OpSh {
-			size = 2
-		}
-		uop := arch.UopSt32
-		switch op {
-		case OpSb:
-			uop = arch.UopSt8
-		case OpSh:
-			uop = arch.UopSt16
-		}
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if f := p.Store(regs[rs]+simm, size, regs[rt]); f != nil {
-				return 0, f
-			}
-			return next, nil
-		}).MemUop(uop, rt, rs, 0, simm)
-	case OpLwc1, OpLdc1:
-		simm := uint32(imm)
-		size := 4
-		if op == OpLdc1 {
-			size = 8
-		}
-		fr := rt & 7
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			v, f := p.LoadFloat(regs[rs]+simm, size)
-			if f != nil {
-				return 0, f
-			}
-			p.SetFReg(fr, v)
-			return next, nil
-		})
-	case OpSwc1, OpSdc1:
-		simm := uint32(imm)
-		size := 4
-		if op == OpSdc1 {
-			size = 8
-		}
-		fr := rt & 7
-		return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-			if f := p.StoreFloat(regs[rs]+simm, size, p.FReg(fr)); f != nil {
-				return 0, f
-			}
-			return next, nil
-		})
+		return d.AluUop(arch.UopConst, dst(rt), 0, 0, uimm<<16)
+	case OpLb:
+		return d.FaultUop(arch.UopLd8S, dst(rt), rs, 0, imm)
+	case OpLbu:
+		return d.FaultUop(arch.UopLd8U, dst(rt), rs, 0, imm)
+	case OpLh:
+		return d.FaultUop(arch.UopLd16S, dst(rt), rs, 0, imm)
+	case OpLhu:
+		return d.FaultUop(arch.UopLd16U, dst(rt), rs, 0, imm)
+	case OpLw:
+		return d.FaultUop(arch.UopLd32, dst(rt), rs, 0, imm)
+	case OpSb:
+		return d.FaultUop(arch.UopSt8, rt, rs, 0, imm)
+	case OpSh:
+		return d.FaultUop(arch.UopSt16, rt, rs, 0, imm)
+	case OpSw:
+		return d.FaultUop(arch.UopSt32, rt, rs, 0, imm)
+	case OpLwc1, OpLdc1, OpSwc1, OpSdc1:
+		return d
 	case OpCop1:
 		switch rs {
-		case C1Mfc1:
-			d := dst(rt)
-			fr := rd & 7
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				arch.RegWrite(regs, d, uint32(int32(math.Trunc(p.FReg(fr)))))
-				return next, nil
-			})
-		case C1Mtc1:
-			fr := rd & 7
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				p.SetFReg(fr, float64(int32(regs[rt])))
-				return next, nil
-			})
 		case C1Bc:
-			want := uint32(0)
+			// bc1t/bc1f test flag bit 0: a truth table over flag&7
+			// taking the branch when bit 0 equals rt's low bit.
+			tbl := 0x55
 			if rt&1 != 0 {
-				want = 1
+				tbl = 0xaa
 			}
-			return mkT(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				if *flag&1 == want {
-					return btarget, nil
-				}
-				return next, nil
-			})
-		case C1FmtS, C1FmtD:
-			fs := int(w >> 11 & 7)
-			ft := int(w >> 16 & 7)
-			fd := int(w >> 6 & 7)
-			single := rs == C1FmtS
-			set := func(p arch.Proc, v float64) {
-				if single {
-					v = float64(float32(v))
-				}
-				p.SetFReg(fd, v)
-			}
-			var x func(p arch.Proc)
-			switch w & 63 {
-			case FpAdd:
-				x = func(p arch.Proc) { set(p, p.FReg(fs)+p.FReg(ft)) }
-			case FpSub:
-				x = func(p arch.Proc) { set(p, p.FReg(fs)-p.FReg(ft)) }
-			case FpMul:
-				x = func(p arch.Proc) { set(p, p.FReg(fs)*p.FReg(ft)) }
-			case FpDiv:
-				x = func(p arch.Proc) { set(p, p.FReg(fs)/p.FReg(ft)) }
-			case FpMov:
-				x = func(p arch.Proc) { p.SetFReg(fd, p.FReg(fs)) }
-			case FpNeg:
-				x = func(p arch.Proc) { set(p, -p.FReg(fs)) }
-			case FpCvtS:
-				x = func(p arch.Proc) { p.SetFReg(fd, float64(float32(p.FReg(fs)))) }
-			case FpCEq:
-				x = func(p arch.Proc) { p.SetFlag(boolFlag(p.FReg(fs) == p.FReg(ft))) }
-			case FpCLt:
-				x = func(p arch.Proc) { p.SetFlag(boolFlag(p.FReg(fs) < p.FReg(ft))) }
-			case FpCLe:
-				x = func(p arch.Proc) { p.SetFlag(boolFlag(p.FReg(fs) <= p.FReg(ft))) }
-			default:
-				return nil
-			}
-			return mk(func(p arch.Proc, regs []uint32, flag *uint32, pc uint32) (uint32, *arch.Fault) {
-				x(p)
-				return next, nil
-			})
+			return d.TermUop(arch.UopBcc, tbl, 0, 0, btarget)
+		case C1Mfc1, C1Mtc1, C1FmtS, C1FmtD:
+			return d
 		}
-		return nil
 	}
 	return nil
 }

@@ -109,6 +109,9 @@ func (m *Mips) RetReg() int { return V0 }
 // LinkReg implements arch.Arch.
 func (m *Mips) LinkReg() int { return RA }
 
+// ZeroReg implements arch.Arch: r0 is hardwired to zero.
+func (m *Mips) ZeroReg() int { return R0 }
+
 // Context implements arch.Arch. The layout is sigcontext-flavored:
 // pc, then the flag word, then r0..r31, then f0..f7. On the big-endian
 // MIPS the kernel's doubleword quirk applies (§4.3 footnote).

@@ -93,6 +93,9 @@ func (s *Sparc) RetReg() int { return O0 }
 // LinkReg implements arch.Arch.
 func (s *Sparc) LinkReg() int { return O7 }
 
+// ZeroReg implements arch.Arch: %g0 is hardwired to zero.
+func (s *Sparc) ZeroReg() int { return G0 }
+
 // Context implements arch.Arch: registers first (the operating system
 // provides most of the registers, §4.3), then pc, flag, and the
 // floating registers.

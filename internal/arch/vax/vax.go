@@ -99,6 +99,9 @@ func (v *Vax) RetReg() int { return R0 }
 // LinkReg implements arch.Arch: jsb pushes the return address.
 func (v *Vax) LinkReg() int { return -1 }
 
+// ZeroReg implements arch.Arch: the VAX has no zero register.
+func (v *Vax) ZeroReg() int { return -1 }
+
 // Context implements arch.Arch: r0-r15 (the saved pc occupies the r15
 // slot — a piece of machine-dependent dirt the VAX frame code knows),
 // then the psl (flag), then the float registers.

@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"ldb/internal/amem"
 	"ldb/internal/arch"
 	"ldb/internal/link"
 	"ldb/internal/machine"
 	"ldb/internal/nub"
+	"ldb/internal/workload"
 )
 
 var allArches = []string{"mips", "mipsbe", "sparc", "m68k", "vax"}
@@ -379,6 +381,42 @@ func TestDebugBuildRunsIdentically(t *testing.T) {
 	}
 }
 
+// TestZeroRegisterStaysZero pins the hardwired-zero register (MIPS r0,
+// SPARC %g0) against a debugger store into its context slot: the nub
+// restores every slot on continue, and the store must be dropped, as on
+// hardware, so the program runs on unharmed in both execution modes.
+func TestZeroRegisterStaysZero(t *testing.T) {
+	for _, a := range []string{"mips", "mipsbe", "sparc"} {
+		prog, err := Build([]Source{{Name: "fib.c", Text: workload.Fib}}, Options{Arch: a, Debug: true})
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		for _, noPredecode := range []bool{false, true} {
+			p := link.NewProcess(prog.Image)
+			p.NoPredecode = noPredecode
+			n := nub.New(p)
+			n.Start() // runs to the pause trap
+			c, err := nub.Pair(n)
+			if err != nil {
+				t.Fatalf("%s: %v", a, err)
+			}
+			ar := prog.Image.Arch
+			slot := n.CtxAddr() + uint32(ar.Context().RegOffs[ar.ZeroReg()])
+			if err := c.StoreInt(amem.Data, slot, 4, 0x40); err != nil {
+				t.Fatalf("%s: %v", a, err)
+			}
+			ev, err := c.Continue()
+			if err != nil {
+				t.Fatalf("%s noPredecode=%v: %v", a, noPredecode, err)
+			}
+			if !ev.Exited || ev.Status != 0 || p.Stdout.String() != workload.Outputs["fib"] {
+				t.Errorf("%s noPredecode=%v: final event %v, output %q", a, noPredecode, ev, p.Stdout.String())
+			}
+			c.Close()
+		}
+	}
+}
+
 func TestDebugCodeIsBigger(t *testing.T) {
 	// §3: the no-ops at stopping points grow the code.
 	for _, a := range allArches {
@@ -522,22 +560,36 @@ int main() {
 
 func TestRunawayTargetIsStopped(t *testing.T) {
 	// An infinite loop cannot wedge the machinery: the simulator's
-	// step limit turns it into a signal the nub reports.
+	// step limit turns it into a signal the nub reports, after exactly
+	// MaxSteps instructions and at the same pc in both engines.
 	old := machine.MaxSteps
 	machine.MaxSteps = 1_000_000
 	defer func() { machine.MaxSteps = old }()
-	prog, err := Build([]Source{{Name: "spin.c", Text: `
-int main() { for (;;) ; return 0; }`}}, Options{Arch: "vax"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := link.NewProcess(prog.Image)
-	f := p.Run()
-	if f.Kind != arch.FaultSignal {
-		t.Fatalf("runaway target: %v", f)
-	}
-	if p.State != machine.StateStopped {
-		t.Fatalf("state = %v", p.State)
+	for _, a := range allArches {
+		prog, err := Build([]Source{{Name: "spin.c", Text: `
+int main() { for (;;) ; return 0; }`}}, Options{Arch: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pcs []uint32
+		for _, noPredecode := range []bool{false, true} {
+			p := link.NewProcess(prog.Image)
+			p.NoPredecode = noPredecode
+			f := p.Run()
+			if f.Kind != arch.FaultSignal || f.Sig != arch.SigIll || f.Code != -1 {
+				t.Fatalf("%s noPredecode=%v: runaway target: %v", a, noPredecode, f)
+			}
+			if p.State != machine.StateStopped {
+				t.Fatalf("%s noPredecode=%v: state = %v", a, noPredecode, p.State)
+			}
+			if p.Steps != machine.MaxSteps+1 {
+				t.Fatalf("%s noPredecode=%v: stopped after %d steps, want %d", a, noPredecode, p.Steps, machine.MaxSteps+1)
+			}
+			pcs = append(pcs, p.PC())
+		}
+		if pcs[0] != pcs[1] {
+			t.Fatalf("%s: fused stopped at pc %#x, uncached at %#x", a, pcs[0], pcs[1])
+		}
 	}
 }
 

@@ -186,7 +186,7 @@ func (p *Process) Restore(ck *Checkpoint) error {
 			s.shadow.Reset(snap.Mem)
 		}
 	}
-	copy(p.regs, ck.Regs)
+	p.loadRegs(ck.Regs)
 	copy(p.fregs, ck.FRegs)
 	p.pc = ck.PC
 	p.flag = ck.Flag
@@ -224,10 +224,11 @@ func FromCheckpoint(ck *Checkpoint) (*Process, error) {
 		ExitCode: ck.ExitCode,
 		Steps:    ck.Steps,
 		Sim:      ck.Sim,
+		zero:     a.ZeroReg(),
 	}
 	p.dec, _ = a.(arch.Decoder)
 	p.be = a.Order() == binary.BigEndian //ldb:allow endian caches the arch's declared order for the hot load/store path, as New does
-	copy(p.regs, ck.Regs)
+	p.loadRegs(ck.Regs)
 	copy(p.fregs, ck.FRegs)
 	p.Stdout.Write(ck.Stdout)
 	for _, snap := range ck.Segs {

@@ -134,27 +134,34 @@ func TestFromCheckpointReconverges(t *testing.T) {
 	}
 }
 
-// TestCheckpointPacingModes pins that auto-checkpoints fire at the
-// configured interval in all three engines (fused, per-instruction,
-// uncached), and that disabling them restores the plain step limit.
+// TestCheckpointPacingModes pins that auto-checkpoints fire at exactly
+// every multiple of the configured interval in both engines (fused and
+// uncached): the fused executor approaches each boundary through
+// one-op blocks, so no block overshoots it. Disabling them restores the
+// plain step limit.
 func TestCheckpointPacingModes(t *testing.T) {
+	const every = 10_000
 	for _, mode := range []struct {
-		name                string
-		noPredecode, noFuse bool
-	}{{"fused", false, false}, {"perinsn", false, true}, {"uncached", true, false}} {
+		name        string
+		noPredecode bool
+	}{{"fused", false}, {"uncached", true}} {
 		p := ckLoopProcess(t, 30_000)
-		p.NoPredecode, p.NoFuse = mode.noPredecode, mode.noFuse
-		fired := 0
-		p.SetAutoCheckpoint(10_000, func() { fired++ })
+		p.NoPredecode = mode.noPredecode
+		var at []int64
+		p.SetAutoCheckpoint(every, func() { at = append(at, p.Steps) })
 		if f := p.Run(); f == nil || f.Sig != arch.SigTrap {
 			t.Fatalf("%s: run did not trap", mode.name)
 		}
-		// ~6 instructions per iteration: 30k iterations is ~180k steps,
-		// so an interval of 10k must fire at least 15 times and close to
-		// steps/interval overall.
-		want := p.Steps / 10_000
-		if int64(fired) < want-1 || int64(fired) > want+1 {
-			t.Fatalf("%s: %d checkpoints over %d steps, want ~%d", mode.name, fired, p.Steps, want)
+		// Every boundary the run passed fires once, at the boundary
+		// itself; one landing on the trapping instruction does not
+		// (execution never continued past it).
+		if want := (p.Steps - 1) / every; int64(len(at)) != want {
+			t.Fatalf("%s: %d checkpoints over %d steps, want %d", mode.name, len(at), p.Steps, want)
+		}
+		for k, steps := range at {
+			if steps != int64(k+1)*every {
+				t.Fatalf("%s: checkpoint %d fired at step %d, want %d", mode.name, k, steps, int64(k+1)*every)
+			}
 		}
 	}
 

@@ -30,8 +30,8 @@ type Segment struct {
 	// decoded is the segment's decode cache, indexed by byte offset;
 	// allocated lazily on first execution from the segment, so data and
 	// stack segments never pay for it. See predecode.go.
-	// Entries are stored by value (a nil Exec means "not decoded") so
-	// dispatch loads the handler with one indirection, not two.
+	// Entries are stored by value (a zero Len means "not decoded") so
+	// a lookup is one indirection, not two.
 	decoded []arch.DecodedInsn
 	// sblocks is the superblock cache, indexed by entry byte offset,
 	// and gen is the segment's invalidation generation: any text write
@@ -105,18 +105,14 @@ type Process struct {
 	Steps int64
 	// Sim counts decode-cache activity (see predecode.go).
 	Sim SimStats
-	// NoPredecode forces the uncached fetch/decode/dispatch path even
-	// when the architecture implements arch.Decoder. Differential tests
-	// and the cached-vs-uncached benchmarks flip it.
+	// NoPredecode runs every instruction through the architecture's
+	// Step, the independent reference interpreter, even when it
+	// implements arch.Decoder. Differential tests and the
+	// cached-vs-uncached benchmarks flip it.
 	NoPredecode bool
-	// NoFuse keeps the decode cache but dispatches one instruction at a
-	// time instead of fusing straight-line runs into superblocks — the
-	// engine as it was before superblocks existed. The differential
-	// tests pin all three modes (uncached, per-instruction, fused)
-	// against each other.
-	NoFuse bool
 
 	dec      arch.Decoder // non-nil when A supports predecoding
+	zero     int          // A.ZeroReg(): writes to it are dropped
 	be       bool         // big-endian target; avoids per-access Order() dispatch
 	lastSeg  *Segment     // memory fast path: last segment hit by seg()
 	lastText *Segment     // execution fast path: last segment fetched from
@@ -144,6 +140,11 @@ type Process struct {
 	ckEvery int64
 	ckNext  int64
 	ckFn    func()
+
+	// one is the scratch one-op block single steps run through (see
+	// single in superblock.go); oneOp backs its ops.
+	one   sblock
+	oneOp [1]fusedOp
 }
 
 // New returns a stopped process with text and data segments holding the
@@ -154,6 +155,7 @@ func New(a arch.Arch, text, data []byte, entry uint32) *Process {
 		regs:  make([]uint32, a.NumRegs()),
 		fregs: make([]float64, a.NumFRegs()),
 		pc:    entry,
+		zero:  a.ZeroReg(),
 	}
 	p.dec, _ = a.(arch.Decoder)
 	p.be = a.Order() == binary.BigEndian //ldb:allow endian caches the arch's declared order for the hot load/store path
@@ -180,10 +182,21 @@ func (p *Process) Reg(i int) uint32 {
 	return p.regs[i]
 }
 
-// SetReg implements arch.Proc.
+// SetReg implements arch.Proc. A write to the architecture's
+// hardwired-zero register is dropped, whoever makes it: the executor's
+// micro-ops read that register as a zero operand.
 func (p *Process) SetReg(i int, v uint32) {
-	if i >= 0 && i < len(p.regs) {
+	if i >= 0 && i < len(p.regs) && i != p.zero {
 		p.regs[i] = v
+	}
+}
+
+// loadRegs installs a saved general-register file, holding the
+// hardwired-zero register at zero.
+func (p *Process) loadRegs(regs []uint32) {
+	copy(p.regs, regs)
+	if p.zero >= 0 {
+		p.regs[p.zero] = 0
 	}
 }
 
@@ -408,64 +421,19 @@ func (p *Process) Run() *arch.Fault {
 		return &arch.Fault{Kind: arch.FaultHalt, PC: p.pc}
 	}
 	p.State = StateRunning
-	predecode := p.dec != nil && !p.NoPredecode
-	fuse := predecode && !p.NoFuse
 	for {
-		// The decode-cache hit case of step(), unrolled into a tight
-		// loop: per instruction, one bounds check, one cache load, and
-		// one indirect call. The decoded slice is re-read through the
-		// segment each iteration rather than hoisted: invalidation may
-		// privatize an adopted (copy-on-write) cache, swapping the
-		// backing array, and a hoisted slice would keep serving entries
-		// a self-modifying store just invalidated.
-		var f *arch.Fault
-		limit := p.ckLimit()
-		if fuse {
-			f = p.runFused(limit)
-		} else if predecode {
-			if s := p.lastText; s != nil && s.decoded != nil {
-				base, regs := s.Base, p.regs
-				steps := p.Steps
-				for {
-					off := p.pc - base
-					if off >= uint32(len(s.decoded)) {
-						break
-					}
-					d := &s.decoded[off]
-					if d.Exec == nil {
-						break
-					}
-					if steps >= limit {
-						// Limit reached: fall out so the outer loop fires a
-						// due checkpoint, or takes the last few instructions
-						// through step()'s per-step MaxSteps check.
-						break
-					}
-					steps++
-					var next uint32
-					next, f = d.Exec(p, regs, &p.flag, p.pc)
-					if f != nil {
-						break
-					}
-					p.pc = next
-				}
-				p.Steps = steps
-			}
+		if p.ckEvery > 0 && p.Steps >= p.ckNext {
+			p.autoCheckpoint()
+			continue
 		}
+		if p.Steps >= MaxSteps {
+			p.Steps++ // the refused instruction counts as a step
+			p.State = StateStopped
+			return &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigIll, Code: -1, PC: p.pc}
+		}
+		f := p.advance(p.ckLimit())
 		if f == nil {
-			if p.ckEvery > 0 && p.Steps >= p.ckNext {
-				p.autoCheckpoint()
-				continue
-			}
-			p.Steps++
-			if p.Steps > MaxSteps {
-				p.State = StateStopped
-				return &arch.Fault{Kind: arch.FaultSignal, Sig: arch.SigIll, Code: -1, PC: p.pc}
-			}
-			f = p.step()
-			if f == nil {
-				continue
-			}
+			continue
 		}
 		if f.Kind == arch.FaultSyscall {
 			if hf := p.syscall(f); hf != nil {
@@ -487,11 +455,21 @@ func (p *Process) Run() *arch.Fault {
 	}
 }
 
+// advance executes toward the step limit: decoded code runs through the
+// executor until Steps reaches limit or a fault; with predecoding off,
+// one instruction runs through Step.
+func (p *Process) advance(limit int64) *arch.Fault {
+	if p.dec != nil && !p.NoPredecode {
+		return p.runFused(limit)
+	}
+	p.Steps++
+	return p.A.Step(p)
+}
+
 // StepOne executes exactly one instruction (servicing a syscall if one
 // occurs) and returns the fault, if any.
 func (p *Process) StepOne() *arch.Fault {
-	p.Steps++
-	f := p.step()
+	f := p.advance(p.Steps + 1)
 	if f != nil && f.Kind == arch.FaultSyscall {
 		return p.syscall(f)
 	}

@@ -2,7 +2,7 @@
 // its architecture implements arch.Decoder. Each segment lazily grows a
 // slice of decoded entries indexed by byte offset (variable-length
 // instructions key naturally; fixed-width ISAs simply leave the
-// intermediate offsets nil), filled on first execution and consulted on
+// intermediate offsets empty), filled on first execution and consulted on
 // every subsequent one. Any write into a segment that has been executed
 // from — a data store, a planted breakpoint, a trap restoration —
 // invalidates the entries the written bytes could cover, so the next
@@ -23,9 +23,10 @@ const maxInsnBytes = 16
 
 // SimStats counts decode-cache activity. Steps (on Process) counts
 // executed instructions; here Hits is how many executed from a cached
-// entry, Decodes how many had to be decoded first, Fallbacks how many
-// went through the uncached Step path (no decoder, predecode disabled,
-// or bytes that do not decode), and Invalidations how many cached
+// micro-op or closure, Decodes how many had to be decoded first,
+// Fallbacks how many ran through the architecture's Step (predecode
+// disabled, bytes that do not decode, an unmapped pc, or a decoded
+// entry that escapes to Step), and Invalidations how many cached
 // entries text writes destroyed. Hits is not counted on the hot path:
 // every executed instruction is exactly one of a hit, a decode, or a
 // fallback, so SimStats derives it from Steps. Read stats through
@@ -37,10 +38,10 @@ type SimStats struct {
 	Fallbacks     int64
 	// Blocks counts superblocks formed and BlockInsns the instructions
 	// fused into them, so BlockInsns/Blocks is the mean fused-run
-	// length. Both stay zero with fusion off; neither changes the
+	// length. Both stay zero with predecoding off; neither changes the
 	// meaning of the per-instruction counters above — a fused block
 	// retiring N instructions still advances Steps by N, so Hits and
-	// HitRate remain comparable across engines.
+	// HitRate do not depend on how runs were fused.
 	Blocks     int64
 	BlockInsns int64
 }
@@ -66,55 +67,6 @@ func (s SimStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// step executes one instruction, through the decode cache when the
-// architecture supports it. It has exactly Step's contract.
-func (p *Process) step() *arch.Fault {
-	if p.dec == nil || p.NoPredecode {
-		return p.A.Step(p)
-	}
-	pc := p.pc
-	s := p.lastText
-	if s == nil || pc-s.Base >= uint32(len(s.Data)) {
-		s = nil
-		for _, t := range p.Segs {
-			if pc-t.Base < uint32(len(t.Data)) {
-				s = t
-				break
-			}
-		}
-		if s == nil {
-			// Unmapped pc: let Step raise the fault it always raised.
-			p.Sim.Fallbacks++
-			return p.A.Step(p)
-		}
-		p.lastText = s
-	}
-	off := pc - s.Base
-	if s.decoded == nil {
-		s.decoded = make([]arch.DecodedInsn, len(s.Data))
-	}
-	d := &s.decoded[off]
-	if d.Exec == nil {
-		dn := p.dec.Decode(s.Data, int(off), pc)
-		if dn == nil {
-			p.Sim.Fallbacks++
-			return p.A.Step(p)
-		}
-		if s.ro {
-			s.privatize()
-			d = &s.decoded[off]
-		}
-		*d = *dn
-		p.Sim.Decodes++
-	}
-	next, f := d.Exec(p, p.regs, &p.flag, pc)
-	if f != nil {
-		return f
-	}
-	p.pc = next
-	return nil
 }
 
 // invalidate clears every cached entry that the write of n bytes at
@@ -157,7 +109,7 @@ func (p *Process) invalidateCaches(s *Segment, addr uint32, n int) {
 		}
 		for i := start; i < end; i++ {
 			d := &s.decoded[i]
-			if d.Exec == nil {
+			if d.Len == 0 {
 				continue
 			}
 			if uint32(i)+d.Len <= lo {

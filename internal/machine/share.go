@@ -3,10 +3,11 @@
 // TextCache publishes one process's predecoded instructions and
 // superblocks under an (arch, content-hash) key and hands them to later
 // processes that load identical text. Sharing is safe because decode
-// products are functions of the bytes alone: Exec closures capture only
-// decode-time constants (immediates, branch targets, pre-computed
-// successors), text always loads at TextBase so even absolute pcs baked
-// into closures agree across processes, and the invalidation contract
+// products are functions of the bytes alone: micro-op operands and the
+// m68k/VAX closures hold only decode-time constants (immediates, branch
+// targets, pre-computed successors), text always loads at TextBase so
+// even absolute pcs baked into them agree across processes, and the
+// invalidation contract
 // guarantees a published cache describes exactly the bytes it was
 // hashed over — a session that has planted a breakpoint has different
 // bytes and therefore a different key, so it can neither poison the
